@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crossbar.mapping import ConductanceMapping
-from repro.crossbar.programming import WriteReport, plan_diff, plan_write
+from repro.crossbar.programming import WriteReport, plan_write
 from repro.devices.models import HP_TIO2, DeviceParameters
 from repro.devices.variation import NoVariation, VariationModel
 from repro.exceptions import CrossbarSolveError, MappingError
@@ -134,6 +134,84 @@ def run_write_verify(
     )
 
 
+def validate_targets(
+    conductances: np.ndarray, g_on: float, where: str = ""
+) -> None:
+    """Reject conductance targets outside ``[0, g_on]``.
+
+    Mapped targets are either exactly 0 (cell isolated, 1T1R off
+    state) or inside the device window ``[g_off, g_on]``.  The
+    accepting path is two reductions — NaN propagates through both, so
+    a non-finite target always reaches the diagnosis, which names the
+    first failed rule (finite, non-negative, at most ``g_on``).
+    ``where`` prefixes the message (the stack names the member).
+    """
+    if conductances.size == 0:
+        return
+    low = conductances.min()
+    high = conductances.max()
+    if low >= 0.0 and high <= g_on * (1 + 1e-12):
+        return
+    if not np.all(np.isfinite(conductances)):
+        raise MappingError(f"{where}conductance targets must be finite")
+    if low < 0.0:
+        raise MappingError(
+            f"{where}target {low:.3e} is negative; "
+            "memristance cannot be negative"
+        )
+    raise MappingError(
+        f"{where}target {high:.3e} above device g_on {g_on:.3e}"
+    )
+
+
+def write_cells(
+    nominal: np.ndarray,
+    actual: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    targets: np.ndarray,
+    report: WriteReport,
+    *,
+    params: DeviceParameters,
+    variation: VariationModel,
+    rng: np.random.Generator,
+    write_verify: WriteVerifyPolicy | None,
+) -> WriteReport:
+    """The cell-write kernel: program k cells that are known to move.
+
+    The caller has diffed, validated and planned the write:
+    ``rows``/``cols``/``targets`` are the cells whose target differs
+    from the programmed value, and ``report`` is their cost, planned
+    from the one gather of old values the diff needed.  A differential
+    write is planned as one ``(1, k)`` row, so each pulse charges
+    ``k - 1`` half-selected devices (see
+    :mod:`repro.crossbar.programming`).  The kernel writes the nominal
+    targets, draws variation for the k cells as one ``(1, k)`` draw
+    from ``rng`` and, under a write-verify policy, reads back exactly
+    these cells and adds the verify cost to the report.  Host cost is
+    O(k); ``nominal`` and ``actual`` are updated in place.  The serial
+    array calls it once per write and the stack once per member, which
+    keeps the two bitwise identical.
+    """
+    nominal[rows, cols] = targets
+    actual[rows, cols] = variation.perturb(
+        targets.reshape(1, -1), rng
+    ).ravel()
+    if write_verify is None:
+        return report
+    return run_write_verify(
+        nominal,
+        actual,
+        rows,
+        cols,
+        report,
+        policy=write_verify,
+        params=params,
+        variation=variation,
+        rng=rng,
+    )
+
+
 class CrossbarArray:
     """An N_rows x N_cols memristor crossbar.
 
@@ -192,7 +270,6 @@ class CrossbarArray:
         # A blank array has every cell isolated (1T1R off state).
         self._nominal = np.zeros((n_rows, n_cols))
         self._actual = self.variation.perturb(self._nominal, self.rng)
-        self.write_log: list[WriteReport] = []
         self._total_report = WriteReport(0, 0, 0.0, 0.0)
         # Column-sum caches for the multiply denominators, kept in the
         # *canonical* reduction order (see :func:`canonical_colsums`):
@@ -260,17 +337,14 @@ class CrossbarArray:
                 f"conductance shape {conductances.shape} does not match "
                 f"array ({self.n_rows}, {self.n_cols})"
             )
-        self._validate_range(conductances)
+        validate_targets(conductances, self.params.g_on)
         report = plan_write(self._nominal, conductances, self.params)
         self._nominal = conductances.copy()
         self._actual = self.variation.perturb(self._nominal, self.rng)
         self._mark_dirty()
-        grid_rows, grid_cols = np.meshgrid(
-            np.arange(self.n_rows), np.arange(self.n_cols), indexing="ij"
-        )
-        report = self._verify_written(
-            grid_rows.ravel(), grid_cols.ravel(), report
-        )
+        if self.write_verify is not None:
+            rows, cols = np.indices(conductances.shape).reshape(2, -1)
+            report = self._verify_written(rows, cols, report)
         self._log_write(report)
         return report
 
@@ -291,15 +365,17 @@ class CrossbarArray:
         This is the primitive behind the paper's O(N) iteration cost:
         only the changed diagonal blocks are rewritten.  Variation is
         re-drawn for the written cells only; untouched cells keep their
-        previous physical deviation.
+        previous physical deviation.  The cells' programmed values are
+        gathered once; they feed the diff and the ``(1, k)`` write plan,
+        and :func:`write_cells` performs the write.
 
-        With ``skip_unchanged=True`` the write set is first filtered
-        through :func:`~repro.crossbar.programming.plan_diff`: cells
-        whose target already matches the programmed value are dropped
-        before any physical modeling — no variation redraw, no
-        write–verify read-back, and range validation covers only the
-        cells that move.  A skipped cell keeps its existing deviation
-        (no write event happened to it).
+        With ``skip_unchanged=True`` cells whose target already equals
+        the programmed value are dropped before any physical modeling
+        — no variation redraw, no write–verify read-back, and range
+        validation covers only the cells that move.  A skipped cell
+        keeps its existing deviation (no write event happened to it).
+        Callers that diffed the write themselves pass only moving
+        cells and leave it off.
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
@@ -307,35 +383,36 @@ class CrossbarArray:
         if not (rows.shape == cols.shape == conductances.shape):
             raise ValueError("rows, cols, conductances must align")
         if rows.size == 0:
-            report = WriteReport(0, 0, 0.0, 0.0)
-            self.write_log.append(report)
-            return report  # nothing written: no events to record
+            return WriteReport(0, 0, 0.0, 0.0)  # nothing written: no event
         if rows.min() < 0 or rows.max() >= self.n_rows:
             raise IndexError("row index out of range")
         if cols.min() < 0 or cols.max() >= self.n_cols:
             raise IndexError("column index out of range")
+        old = self._nominal[rows, cols]
         if skip_unchanged:
-            diff = plan_diff(self._nominal, rows, cols, conductances)
-            if diff.empty:
-                report = WriteReport(0, 0, 0.0, 0.0)
-                self.write_log.append(report)
-                return report  # every target already programmed
-            rows, cols, conductances = diff.rows, diff.cols, diff.targets
-        self._validate_range(conductances)
-
-        old_cells = self._nominal[rows, cols]
+            moved = conductances != old
+            count = np.count_nonzero(moved)
+            if count == 0:
+                return WriteReport(0, 0, 0.0, 0.0)  # all already programmed
+            if count < moved.size:
+                rows, cols = rows[moved], cols[moved]
+                conductances, old = conductances[moved], old[moved]
+        validate_targets(conductances, self.params.g_on)
         report = plan_write(
-            old_cells.reshape(1, -1),
-            conductances.reshape(1, -1),
-            self.params,
+            old.reshape(1, -1), conductances.reshape(1, -1), self.params
         )
-        self._nominal[rows, cols] = conductances
-
-        perturbed = self.variation.perturb(
-            conductances.reshape(1, -1), self.rng
-        ).ravel()
-        self._actual[rows, cols] = perturbed
-        report = self._verify_written(rows, cols, report)
+        report = write_cells(
+            self._nominal,
+            self._actual,
+            rows,
+            cols,
+            conductances,
+            report,
+            params=self.params,
+            variation=self.variation,
+            rng=self.rng,
+            write_verify=self.write_verify,
+        )
         self._mark_dirty(cols)
         self._log_write(report)
         return report
@@ -365,7 +442,6 @@ class CrossbarArray:
         return report
 
     def _log_write(self, report: WriteReport) -> None:
-        self.write_log.append(report)
         self._total_report = self._total_report + report
         self._record_write(report)
 
@@ -420,32 +496,6 @@ class CrossbarArray:
             variation=self.variation,
             rng=self.rng,
         )
-
-    def _validate_range(
-        self,
-        conductances: np.ndarray,
-        mask: np.ndarray | slice | None = None,
-    ) -> None:
-        # Targets are either exactly 0 (cell isolated, 1T1R off state)
-        # or inside the device window [g_off, g_on].  ``mask`` restricts
-        # validation to a subset (the cells a differential write will
-        # actually touch); initial full-grid programming passes None.
-        if mask is not None:
-            conductances = conductances[mask]
-        if conductances.size == 0:
-            return
-        if not np.all(np.isfinite(conductances)):
-            raise MappingError("conductance targets must be finite")
-        if conductances.min() < 0.0:
-            raise MappingError(
-                f"target {conductances.min():.3e} is negative; "
-                "memristance cannot be negative"
-            )
-        if conductances.max() > self.params.g_on * (1 + 1e-12):
-            raise MappingError(
-                f"target {conductances.max():.3e} above device g_on "
-                f"{self.params.g_on:.3e}"
-            )
 
     # -- fault injection -------------------------------------------------------
 
@@ -576,9 +626,9 @@ class CrossbarArray:
     def total_write_report(self) -> WriteReport:
         """Accumulated write costs over the array's lifetime.
 
-        Maintained as a running total at each write so frequent
+        Maintained as a running total at each write, so frequent
         baselining (the serving layer snapshots it around every job)
-        stays O(1) instead of replaying the whole ``write_log``.
+        is O(1) and the array keeps no per-event history.
         """
         return self._total_report
 

@@ -103,10 +103,10 @@ def map_cells(
     The O(#cells) counterpart of :func:`map_matrix`: applies the same
     ``target = scale * value`` mapping and ``g_off`` floor handling to
     an arbitrary cell subset, so a differential update (see
-    :class:`~repro.crossbar.programming.DiffProgram`) never touches the
-    full grid.  ``scale`` may be a scalar (global mapping) or an array
-    aligned with ``values`` (per-row mapping, caller pre-gathers the
-    row scales).
+    :func:`~repro.crossbar.array.write_cells`) never touches the full
+    grid.  ``scale`` may be a scalar (global mapping) or an array
+    broadcastable against ``values`` (per-row mapping, caller
+    pre-gathers the row scales).
 
     ``bits`` optionally models the resolution of the write-path DAC:
     targets are snapped to ``bits`` of precision via

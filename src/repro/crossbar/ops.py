@@ -205,8 +205,18 @@ class AnalogMatrixOperator:
         scale = self.params.g_on / (a_max * self.scale_headroom)
         return np.full(self.n_out, scale)
 
-    def _targets_for_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Conductance targets (G orientation) for coefficient rows."""
+    def _program_rows(self, rows: np.ndarray) -> WriteReport:
+        """(Re)program all cells of the given coefficient rows.
+
+        ``rows`` are sorted and unique.  The rows' targets form one
+        ``(len(rows), n_in)`` block; a single 2-D ``!=`` against the
+        programmed block plus ``nonzero`` finds the cells that move,
+        listed in the grid's ``n_in``-major order, and only those reach
+        the array.  Unchanged cells (the structural zeros of a sparse
+        system, or rows rescaled back to the scale they already hold)
+        cost nothing, so a "full" reprogram is O(cells that move) in
+        writes and one block pass on the host.
+        """
         block, floored = map_cells(
             self._coefficients[rows, :],
             self._scales[rows, None],
@@ -214,26 +224,13 @@ class AnalogMatrixOperator:
             off_state=self.off_state,
         )
         self._floored[:, rows] = floored.T
-        return block.T  # (n_in, len(rows))
-
-    def _program_rows(self, rows: np.ndarray) -> WriteReport:
-        """(Re)program all cells of the given coefficient rows.
-
-        Goes through the differential write path: cells whose target is
-        unchanged (the structural zeros of a sparse system, or rows
-        rescaled back to the scale they already hold) are skipped, so a
-        "full" reprogram costs O(cells that move), not O(N²).
-        """
-        rows = np.asarray(rows, dtype=int)
-        targets = self._targets_for_rows(rows)  # (n_in, k)
-        grid_in, grid_rows = np.meshgrid(
-            np.arange(self.n_in), rows, indexing="ij"
-        )
+        # Crossbar cell (i, j) carries A[j, i]: compare in coefficient
+        # orientation, where both blocks are contiguous, and walk the
+        # transposed mask so the cells come out n_in-major.
+        moved = block != self.array._nominal.T[rows]
+        cells_in, cells_row = moved.T.nonzero()
         return self.array.program_cells(
-            grid_in.ravel(),
-            grid_rows.ravel(),
-            targets.ravel(),
-            skip_unchanged=True,
+            cells_in, rows[cells_row], block[cells_row, cells_in]
         )
 
     # -- public accessors --------------------------------------------------
@@ -348,14 +345,7 @@ class AnalogMatrixOperator:
             report = self._program_rows(np.arange(self.n_out))
             self._full_reprograms += 1
             return report
-        targets, floored = map_cells(
-            values, scale, self.params, off_state=self.off_state
-        )
-        self._floored[cols, rows] = floored
-        # Crossbar cell (i, j) carries coefficient A[j, i].
-        return self.array.program_cells(
-            cols, rows, targets, skip_unchanged=True
-        )
+        return self._program_cells(rows, cols, values)
 
     def renormalize(self) -> WriteReport:
         """Restore the no-hysteresis scales for the current coefficients.
@@ -392,7 +382,12 @@ class AnalogMatrixOperator:
         values: np.ndarray,
         floor_to_representable: bool,
     ) -> WriteReport:
-        affected = np.unique(rows)
+        if (rows[1:] > rows[:-1]).all():
+            affected = rows  # already sorted and unique
+        else:
+            touched = np.zeros(self.n_out, dtype=bool)
+            touched[rows] = True
+            affected = np.flatnonzero(touched)
         row_max = self._coefficients[affected, :].max(axis=1, initial=0.0)
         peak_target = row_max * self._scales[affected]
         rescale = (peak_target > self.params.g_on) | (
@@ -415,25 +410,37 @@ class AnalogMatrixOperator:
                 values, self.params.g_off / self._scales[rows]
             )
             self._coefficients[rows, cols] = values
+        if not rescale_rows.size:
+            return self._program_cells(rows, cols, values)
 
-        report = WriteReport(0, 0, 0.0, 0.0)
-        if rescale_rows.size:
-            report = report + self._program_rows(rescale_rows)
-        keep = ~np.isin(rows, rescale_rows)
-        if np.any(keep):
-            k_rows = rows[keep]
-            k_cols = cols[keep]
-            k_vals, floored = map_cells(
-                values[keep],
-                self._scales[k_rows],
-                self.params,
-                off_state=self.off_state,
-            )
-            self._floored[k_cols, k_rows] = floored
-            report = report + self.array.program_cells(
-                k_cols, k_rows, k_vals, skip_unchanged=True
+        report = self._program_rows(rescale_rows)
+        if affected is rows:
+            keep = ~rescale
+        else:
+            rescaled = np.zeros(self.n_out, dtype=bool)
+            rescaled[rescale_rows] = True
+            keep = ~rescaled[rows]
+        if keep.any():
+            report = report + self._program_cells(
+                rows[keep], cols[keep], values[keep]
             )
         return report
+
+    def _program_cells(
+        self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+    ) -> WriteReport:
+        """Rewrite scattered coefficients at their rows' current scales."""
+        targets, floored = map_cells(
+            values,
+            self._scales[rows],
+            self.params,
+            off_state=self.off_state,
+        )
+        # Crossbar cell (i, j) carries coefficient A[j, i].
+        self._floored[cols, rows] = floored
+        return self.array.program_cells(
+            cols, rows, targets, skip_unchanged=True
+        )
 
     def redraw_variation(
         self, rng: np.random.Generator | None = None

@@ -160,45 +160,35 @@ class AnalogOperatorStack:
         a_max = np.where(a_max > 0.0, a_max, 1.0)
         return self.params.g_on / (a_max * self.scale_headroom)
 
-    def _targets_for_rows(
-        self, rows: np.ndarray, members: np.ndarray
-    ) -> np.ndarray:
-        """Conductance targets (G orientation) for coefficient rows.
-
-        Returns ``(len(members), n_in, len(rows))`` and updates the
-        floored-cell masks of the selected members.  The global map is
-        elementwise, so one batched :func:`map_cells` call matches the
-        serial per-member call bitwise.
-        """
-        values = self._coefficients[members][:, rows, :]
-        block, floored = map_cells(
-            values,
-            self._scales[members, None, None],
-            self.params,
-            off_state=self.off_state,
-        )
-        self._floored[np.ix_(members, np.arange(self.n_in), rows)] = (
-            floored.transpose(0, 2, 1)
-        )
-        return block.transpose(0, 2, 1)
-
     def _program_rows(
         self, rows: np.ndarray, members: np.ndarray
     ) -> list[WriteReport | None]:
         """(Re)program all cells of the given coefficient rows.
 
-        Differential, like the serial path: unchanged cells are skipped
-        per member, so a "full" reprogram costs O(cells that move).
+        The serial operator's block diff, fleet-wide: the rows'
+        targets form a ``(len(members), n_in, len(rows))`` block (the
+        global map is elementwise, so one batched :func:`map_cells`
+        matches the serial per-member call bitwise), one ``!=``
+        against the programmed block finds the cells that move on any
+        member, in ``n_in``-major order, and only those reach the
+        stack, which drops each member's unmoved cells.  The floored
+        masks of the selected members are updated on the way.
         """
-        rows = np.asarray(rows, dtype=int)
-        targets = self._targets_for_rows(rows, members)
-        grid_in, grid_rows = np.meshgrid(
-            np.arange(self.n_in), rows, indexing="ij"
+        block, floored = map_cells(
+            self._coefficients[members][:, rows, :],
+            self._scales[members, None, None],
+            self.params,
+            off_state=self.off_state,
         )
+        block_index = np.ix_(members, np.arange(self.n_in), rows)
+        self._floored[block_index] = floored.transpose(0, 2, 1)
+        targets = block.transpose(0, 2, 1)
+        moved = targets != self.stack._nominal[block_index]
+        cells_in, cells_row = np.nonzero(moved.any(axis=0))
         return self.stack.program_cells(
-            grid_in.ravel(),
-            grid_rows.ravel(),
-            targets.reshape(len(members), -1),
+            cells_in,
+            rows[cells_row],
+            targets[:, cells_in, cells_row],
             skip_unchanged=True,
             members=members,
         )

@@ -15,7 +15,17 @@ system matrix change — O(N) cells — while the large A / A^T blocks are
 programmed once (Section 3.5).
 
 Energy accounting includes the half-select disturbance energy of the
-unselected lines, which scales with array size.
+unselected lines.  Each write pulse charges ``h`` half-selected
+devices, where ``h`` is ``(rows - 1) + (cols - 1)`` of the grid the
+write was *planned* on.  A full program plans the array geometry; a
+differential cell write (``CrossbarArray.program_cells``) plans its k
+written cells as one ``(1, k)`` row, so each of its pulses charges
+``k - 1`` devices.  Modeled write energy therefore depends on how
+writes are grouped into calls: the same cells written in two calls
+cost less half-select energy than in one.  That is a known modeling
+simplification, pinned by ``tests/crossbar/test_programming.py`` so it
+cannot change silently; charging the array geometry instead would
+move every recorded device-energy figure.
 """
 
 from __future__ import annotations
@@ -93,78 +103,6 @@ class WriteReport:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class DiffProgram:
-    """A filtered cell-write set: only the cells that actually change.
-
-    Produced by :func:`plan_diff` from a proposed write against the
-    currently programmed nominal grid.  Cells whose target already
-    matches are dropped *before* any physical-write modeling — no
-    variation redraw, no write–verify read-back, no range validation —
-    so the cost of applying the diff scales with the number of cells
-    that move, not the number of cells proposed.  This is the primitive
-    behind the paper's O(N)-per-iteration claim: the solvers propose
-    the same 2(n+m) diagonal cells every iteration, and remaps/rescales
-    propose whole rows of a mostly-zero augmented matrix, but only the
-    moving conductances are ever touched.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    targets: np.ndarray
-    skipped: int
-
-    @property
-    def cells(self) -> int:
-        """Number of cells this diff will physically write."""
-        return int(self.rows.size)
-
-    @property
-    def empty(self) -> bool:
-        return self.rows.size == 0
-
-
-def plan_diff(
-    nominal: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    targets: np.ndarray,
-    *,
-    tolerance: float = 0.0,
-    g_off: float = 0.0,
-) -> DiffProgram:
-    """Filter a proposed cell write down to the cells that change.
-
-    Parameters
-    ----------
-    nominal:
-        The currently programmed (nominal) conductance grid.
-    rows, cols, targets:
-        Proposed cell coordinates and their new conductance targets.
-    tolerance:
-        Relative deadband: with ``tolerance > 0`` a cell is skipped
-        when ``|new - old| <= tolerance * max(|old|, g_off)`` (the same
-        deadband :func:`plan_write` uses).  The default 0 skips only
-        exactly-equal targets.
-    g_off:
-        Off-conductance reference for the relative deadband.
-    """
-    current = nominal[rows, cols]
-    if tolerance > 0.0:
-        scale = np.maximum(np.abs(current), g_off)
-        changed = np.abs(targets - current) > tolerance * scale
-    else:
-        changed = targets != current
-    if changed.all():
-        return DiffProgram(rows=rows, cols=cols, targets=targets, skipped=0)
-    return DiffProgram(
-        rows=rows[changed],
-        cols=cols[changed],
-        targets=targets[changed],
-        skipped=int(changed.size - np.count_nonzero(changed)),
-    )
-
-
 #: Fraction of the selected-cell write energy dissipated by each
 #: half-selected device on the same word/bit line.  A half-selected cell
 #: sees V_dd/2, i.e. a quarter of the power of the selected cell, for
@@ -183,6 +121,48 @@ def conductance_to_state(
     return (params.r_off - resistance) / (params.r_off - params.r_on)
 
 
+def _pulses_per_cell(
+    old: np.ndarray,
+    new: np.ndarray,
+    params: DeviceParameters,
+    tolerance: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise write pulses and changed-cell mask for ``old -> new``.
+
+    Both grids convert to device state in one elementwise pass over
+    their concatenation, which keeps the per-call dispatch count of
+    small differential writes low.
+    """
+    state = conductance_to_state(np.concatenate((old, new)), params)
+    swing = np.abs(state[len(old):] - state[: len(old)])
+    if tolerance > 0.0:
+        scale = np.maximum(np.abs(old), params.g_off)
+        changed = np.abs(new - old) / scale > tolerance
+        swing = np.where(changed, swing, 0.0)
+    else:
+        changed = swing > 0.0
+    return np.ceil(swing * params.write_pulses_full_swing), changed
+
+
+def _write_cost(
+    cells: int, pulses: int, half_selected: int, params: DeviceParameters
+) -> WriteReport:
+    """Latency and energy of ``pulses`` sequential write pulses.
+
+    Each pulse charges the selected cell plus ``half_selected``
+    disturbed devices on its word- and bit-line.
+    """
+    energy_per_pulse = params.write_energy_per_pulse * (
+        1.0 + HALF_SELECT_ENERGY_FRACTION * half_selected
+    )
+    return WriteReport(
+        cells_written=cells,
+        pulses=pulses,
+        latency_s=pulses * params.write_pulse_width,
+        energy_j=pulses * energy_per_pulse,
+    )
+
+
 def plan_write(
     old: np.ndarray | None,
     new: np.ndarray,
@@ -191,6 +171,12 @@ def plan_write(
     tolerance: float = 0.0,
 ) -> WriteReport:
     """Cost of reprogramming an array from ``old`` to ``new``.
+
+    Every pulse charges the half-select energy of the
+    ``(n_rows - 1) + (n_cols - 1)`` other devices on the selected lines
+    of the *planned grid*.  For a full program that grid is the array;
+    differential cell writes plan their k cells as a ``(1, k)`` row,
+    which charges ``k - 1`` (see the module docstring).
 
     Parameters
     ----------
@@ -219,36 +205,13 @@ def plan_write(
             raise ValueError(
                 f"shape mismatch: old {old.shape} vs new {new.shape}"
             )
-
-    old_state = conductance_to_state(old, params)
-    new_state = conductance_to_state(new, params)
-    swing = np.abs(new_state - old_state)
-
-    if tolerance > 0.0:
-        scale = np.maximum(np.abs(old), params.g_off)
-        changed = np.abs(new - old) / scale > tolerance
-    else:
-        changed = swing > 0.0
-    swing = np.where(changed, swing, 0.0)
-
-    pulses_per_cell = np.ceil(swing * params.write_pulses_full_swing)
-    total_pulses = int(pulses_per_cell.sum())
-    cells = int(np.count_nonzero(changed))
-
-    latency = total_pulses * params.write_pulse_width
-    # Selected-cell energy plus half-select disturbance on the other
-    # devices sharing the selected WL and BL.
+    pulses, changed = _pulses_per_cell(old, new, params, tolerance)
     n_rows, n_cols = new.shape
-    half_selected = (n_rows - 1) + (n_cols - 1)
-    energy_per_pulse = params.write_energy_per_pulse * (
-        1.0 + HALF_SELECT_ENERGY_FRACTION * half_selected
-    )
-    energy = total_pulses * energy_per_pulse
-    return WriteReport(
-        cells_written=cells,
-        pulses=total_pulses,
-        latency_s=latency,
-        energy_j=energy,
+    return _write_cost(
+        int(np.count_nonzero(changed)),
+        int(pulses.sum()),
+        (n_rows - 1) + (n_cols - 1),
+        params,
     )
 
 
@@ -298,25 +261,11 @@ def plan_write_stack(
             raise ValueError(
                 f"shape mismatch: old {old.shape} vs new {new.shape}"
             )
-
-    old_state = conductance_to_state(old, params)
-    new_state = conductance_to_state(new, params)
-    swing = np.abs(new_state - old_state)
-
-    if tolerance > 0.0:
-        scale = np.maximum(np.abs(old), params.g_off)
-        changed = np.abs(new - old) / scale > tolerance
-    else:
-        changed = swing > 0.0
-    swing = np.where(changed, swing, 0.0)
-
-    k = new.shape[0]
-    pulses_per_cell = np.ceil(swing * params.write_pulses_full_swing)
-    total_pulses = pulses_per_cell.reshape(k, -1).sum(axis=1)
+    pulses, changed = _pulses_per_cell(old, new, params, tolerance)
+    k, n_rows, n_cols = new.shape
+    totals = pulses.reshape(k, -1).sum(axis=1)
     cells = np.count_nonzero(changed.reshape(k, -1), axis=1)
-
     if half_select_counts is None:
-        n_rows, n_cols = new.shape[1], new.shape[2]
         half_select_counts = np.full(k, (n_rows - 1) + (n_cols - 1))
     else:
         half_select_counts = np.asarray(half_select_counts)
@@ -325,20 +274,12 @@ def plan_write_stack(
                 f"half_select_counts must have shape ({k},), got "
                 f"{half_select_counts.shape}"
             )
-
-    reports = []
-    for member in range(k):
-        pulses = int(total_pulses[member])
-        energy_per_pulse = params.write_energy_per_pulse * (
-            1.0
-            + HALF_SELECT_ENERGY_FRACTION * int(half_select_counts[member])
+    return [
+        _write_cost(
+            int(cells[member]),
+            int(totals[member]),
+            int(half_select_counts[member]),
+            params,
         )
-        reports.append(
-            WriteReport(
-                cells_written=int(cells[member]),
-                pulses=pulses,
-                latency_s=pulses * params.write_pulse_width,
-                energy_j=pulses * energy_per_pulse,
-            )
-        )
-    return reports
+        for member in range(k)
+    ]

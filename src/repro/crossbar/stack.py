@@ -18,9 +18,11 @@ Correctness contract (gated by ``tests/property``):
   member ``k`` consumes exactly the variates its serial twin would,
   from its own generator, so cross-member batching never reorders any
   member's stream;
-- write costs are planned per member
+- write costs are planned per member in one vectorized pass
   (:func:`~repro.crossbar.programming.plan_write_stack`), including
-  the per-member half-select energy factors of differential writes;
+  the per-member half-select energy factors of differential writes,
+  and each member's cells are written by the serial cell-write kernel
+  (:func:`~repro.crossbar.array.write_cells`) with its own generator;
 - column-sum denominators use the canonical per-column reduction of
   :func:`~repro.crossbar.array.canonical_colsums`, so the stack's
   dirty-column cache refresh matches the serial cache bitwise.
@@ -31,11 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import Backend, get_backend
-from repro.crossbar.array import run_write_verify
-from repro.crossbar.programming import (
-    WriteReport,
-    plan_write_stack,
+from repro.crossbar.array import (
+    run_write_verify,
+    validate_targets,
+    write_cells,
 )
+from repro.crossbar.programming import WriteReport, plan_write_stack
 from repro.devices.models import HP_TIO2, DeviceParameters
 from repro.devices.variation import NoVariation, VariationModel
 from repro.exceptions import CrossbarSolveError, MappingError
@@ -107,9 +110,6 @@ class CrossbarStack:
         shape = (self.n_members, self.n_rows, self.n_cols)
         self._nominal = np.zeros(shape)
         self._actual = self.variation.perturb_stack(self._nominal, self.rngs)
-        self.write_logs: list[list[WriteReport]] = [
-            [] for _ in range(self.n_members)
-        ]
         self._total_reports = [
             WriteReport(0, 0, 0.0, 0.0) for _ in range(self.n_members)
         ]
@@ -172,7 +172,6 @@ class CrossbarStack:
         return np.unique(members)
 
     def _log_write(self, member: int, report: WriteReport) -> None:
-        self.write_logs[member].append(report)
         self._total_reports[member] = self._total_reports[member] + report
         tracer = self.tracer
         if not tracer.enabled:
@@ -185,24 +184,6 @@ class CrossbarStack:
         tracer.count("crossbar.verify_reads", report.verify_reads)
         tracer.count("crossbar.verify_repulsed", report.repulsed_cells)
         tracer.count("crossbar.verify_unverified", report.unverified_cells)
-
-    def _validate_range(self, conductances: np.ndarray, member: int) -> None:
-        if conductances.size == 0:
-            return
-        if not np.all(np.isfinite(conductances)):
-            raise MappingError(
-                f"member {member}: conductance targets must be finite"
-            )
-        if conductances.min() < 0.0:
-            raise MappingError(
-                f"member {member}: target {conductances.min():.3e} is "
-                "negative; memristance cannot be negative"
-            )
-        if conductances.max() > self.params.g_on * (1 + 1e-12):
-            raise MappingError(
-                f"member {member}: target {conductances.max():.3e} above "
-                f"device g_on {self.params.g_on:.3e}"
-            )
 
     def _verify_member(
         self,
@@ -252,18 +233,17 @@ class CrossbarStack:
                 f"stack ({self.n_members}, {self.n_rows}, {self.n_cols})"
             )
         for member in range(self.n_members):
-            self._validate_range(conductances[member], member)
+            validate_targets(
+                conductances[member], self.params.g_on, f"member {member}: "
+            )
         reports = plan_write_stack(self._nominal, conductances, self.params)
         self._nominal = conductances.copy()
         self._actual = self.variation.perturb_stack(self._nominal, self.rngs)
         self._mark_dirty()
-        grid_rows, grid_cols = np.meshgrid(
-            np.arange(self.n_rows), np.arange(self.n_cols), indexing="ij"
-        )
-        flat_rows, flat_cols = grid_rows.ravel(), grid_cols.ravel()
+        rows, cols = np.indices((self.n_rows, self.n_cols)).reshape(2, -1)
         for member in range(self.n_members):
             reports[member] = self._verify_member(
-                member, flat_rows, flat_cols, reports[member]
+                member, rows, cols, reports[member]
             )
             self._log_write(member, reports[member])
         return reports
@@ -277,19 +257,24 @@ class CrossbarStack:
         skip_unchanged: bool = False,
         members=None,
     ) -> list[WriteReport | None]:
-        """Differential cell writes across the fleet in one pass.
+        """Differential cell writes across the fleet.
 
         ``rows``/``cols`` name the same cells on every selected
         member; ``conductances`` is ``(c,)`` (shared targets) or
         ``(K, c)`` (per-member targets; rows of unselected members are
-        ignored).  With ``skip_unchanged`` each member drops the cells
-        already holding their target — the per-member diff masks (and
-        the resulting half-select energy factors) match what a serial
-        array would compute.
+        ignored).  One gather reads every selected member's programmed
+        values; with ``skip_unchanged`` each member then drops the
+        cells already holding their target.  Every target is validated
+        before any member is written, the members' ``(1, k)`` write
+        costs are planned in one vectorized pass, and each member's
+        moved cells go through the serial cell-write kernel
+        (:func:`~repro.crossbar.array.write_cells`) with that member's
+        generator — the same cells, draws and report a serial array
+        would produce.
 
         Returns a K-long list: a :class:`WriteReport` per selected
-        member, ``None`` for members the mask excluded (their write
-        logs see no event, exactly like an untouched serial array).
+        member, ``None`` for members the mask excluded (no event,
+        exactly like an untouched serial array).
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
@@ -317,9 +302,7 @@ class CrossbarStack:
             )
         if rows.size == 0:
             for member in selected:
-                report = WriteReport(0, 0, 0.0, 0.0)
-                self.write_logs[member].append(report)
-                results[member] = report
+                results[member] = WriteReport(0, 0, 0.0, 0.0)
             return results
         if rows.min() < 0 or rows.max() >= self.n_rows:
             raise IndexError("row index out of range")
@@ -332,26 +315,17 @@ class CrossbarStack:
         else:
             changed = np.ones_like(current, dtype=bool)
         changed_counts = changed.sum(axis=1)
-
-        # Members whose whole write set was skipped get the serial
-        # path's zero report (logged, but not a physical event).
-        for pos, member in enumerate(selected):
-            if skip_unchanged and changed_counts[pos] == 0:
-                report = WriteReport(0, 0, 0.0, 0.0)
-                self.write_logs[member].append(report)
-                results[member] = report
-        active = (
-            np.flatnonzero(changed_counts > 0)
-            if skip_unchanged
-            else np.arange(selected.size)
-        )
+        active = np.flatnonzero(changed_counts)
+        for pos in np.flatnonzero(changed_counts == 0):
+            results[selected[pos]] = WriteReport(0, 0, 0.0, 0.0)
+        for pos in active:
+            validate_targets(
+                targets[pos][changed[pos]],
+                self.params.g_on,
+                f"member {selected[pos]}: ",
+            )
         if active.size == 0:
             return results
-
-        for pos in active:
-            self._validate_range(
-                targets[pos][changed[pos]], int(selected[pos])
-            )
 
         # Vectorized per-member write plan.  Unchanged cells keep their
         # old value (zero swing), which plans exactly like the serial
@@ -364,26 +338,25 @@ class CrossbarStack:
             self.params,
             half_select_counts=changed_counts[active] - 1,
         )
-
-        touched_cols: list[np.ndarray] = []
-        for plan_pos, pos in enumerate(active):
+        for report, pos in zip(reports, active):
             member = int(selected[pos])
             mask = changed[pos]
-            m_rows, m_cols = rows[mask], cols[mask]
-            m_targets = targets[pos][mask]
-            self._nominal[member, m_rows, m_cols] = m_targets
-            perturbed = self.variation.perturb(
-                m_targets.reshape(1, -1), self.rngs[member]
-            ).ravel()
-            self._actual[member, m_rows, m_cols] = perturbed
-            report = self._verify_member(
-                member, m_rows, m_cols, reports[plan_pos]
+            m_cols = cols[mask]
+            report = write_cells(
+                self._nominal[member],
+                self._actual[member],
+                rows[mask],
+                m_cols,
+                targets[pos][mask],
+                report,
+                params=self.params,
+                variation=self.variation,
+                rng=self.rngs[member],
+                write_verify=self.write_verify,
             )
-            touched_cols.append(m_cols)
+            self._mark_dirty(m_cols)
             self._log_write(member, report)
             results[member] = report
-        if touched_cols:
-            self._mark_dirty(np.concatenate(touched_cols))
         return results
 
     def redraw(self, members=None) -> list[WriteReport | None]:

@@ -6,6 +6,7 @@ import pytest
 from repro.crossbar import CrossbarArray, map_matrix
 from repro.devices import HP_TIO2, YAKOPCIC_NAECON14, UniformVariation
 from repro.exceptions import CrossbarSolveError, MappingError
+from repro.obs import RecordingTracer
 
 
 def programmed_array(rng, n=6, variation=None, params=YAKOPCIC_NAECON14):
@@ -94,14 +95,19 @@ class TestProgramming:
         assert report.cells_written == 0
 
     def test_write_log_accumulates(self, rng):
+        # The array keeps running totals, not a per-event log: one
+        # cell write is one programming event, and its report lands
+        # in the totals.
         array, _, _ = programmed_array(rng)
-        n_events = len(array.write_log)
-        array.program_cells(
+        array.tracer = RecordingTracer()
+        before = array.total_write_report
+        report = array.program_cells(
             np.array([0]), np.array([0]),
             np.array([YAKOPCIC_NAECON14.g_on * 0.7]),
         )
-        assert len(array.write_log) == n_events + 1
-        assert array.total_write_report.cells_written >= 1
+        assert array.tracer.counters["crossbar.writes"] == 1
+        assert report.cells_written >= 1
+        assert array.total_write_report == before + report
 
 
 class TestMultiply:
@@ -217,19 +223,23 @@ class TestWriteReportAggregation:
     """``total_write_report`` over mixed program / program_cells runs."""
 
     def test_totals_equal_sum_of_write_log(self, rng):
+        # Totals equal the sum of the reports each call returned.
         array, _, mapping = programmed_array(rng)
-        array.program_cells(
-            np.array([0, 1]),
-            np.array([1, 2]),
-            np.full(2, YAKOPCIC_NAECON14.g_on * 0.3),
+        array.tracer = RecordingTracer()
+        reports = [array.total_write_report]  # the initial program
+        reports.append(
+            array.program_cells(
+                np.array([0, 1]),
+                np.array([1, 2]),
+                np.full(2, YAKOPCIC_NAECON14.g_on * 0.3),
+            )
         )
-        array.program(mapping.conductances)  # full rewrite on top
-        total = array.total_write_report
-        by_hand = array.write_log[0]
-        for report in array.write_log[1:]:
+        reports.append(array.program(mapping.conductances))  # full rewrite
+        by_hand = reports[0]
+        for report in reports[1:]:
             by_hand = by_hand + report
-        assert total == by_hand
-        assert len(array.write_log) == 3
+        assert array.total_write_report == by_hand
+        assert array.tracer.counters["crossbar.writes"] == 2
 
     def test_full_program_then_selective_costs_accumulate(self, rng):
         array, _, _ = programmed_array(rng, n=4)
