@@ -23,14 +23,14 @@ Reproducibility is the design constraint, not a best effort:
   the recovery ladder has its generator rewound to the pre-attempt
   state and re-runs the full serial ladder, reproducing attempt 1
   bitwise before escalating;
-- per-member control flow (convergence, stalls, divergence,
-  relaxed-feasibility exits) is evaluated with the *serial* helper
-  functions on that member's vectors — only the analog tensor ops are
-  batched.
+- each member keeps one :class:`~repro.core.attempt.AttemptState`, the
+  object a serial attempt uses, so convergence, stalls, failed solves,
+  divergence and the final ``A x <= alpha b`` check are classified by
+  the same code — only the analog tensor ops are batched.
 
 Workloads that need the serial path fall back transparently: row
-scaling, health probes, per-iteration tracing, warm starts, and
-structural singletons all run the plain solver per problem.
+scaling, health probes and per-iteration tracing run the plain solver
+per problem, and so does a structural singleton (a group of one).
 """
 
 from __future__ import annotations
@@ -40,25 +40,13 @@ import dataclasses
 import numpy as np
 
 from repro.backend import Backend
-from repro.core.crossbar_solver import CrossbarPDIPSolver
-from repro.core.feasibility import (
-    DivergenceKind,
-    collapse_threshold,
-    detect_divergence,
-    scaled_big_m,
-)
+from repro.core.attempt import AttemptState
+from repro.core.crossbar_solver import CrossbarPDIPSolver, augmented_readout
 from repro.core.newton import AugmentedNewtonSystem
 from repro.core.problem import LinearProgram
-from repro.core.residuals import centering_mu, converged, duality_gap
-from repro.core.result import (
-    CrossbarCounters,
-    FailureReason,
-    SolverResult,
-    SolveStatus,
-    with_attempts,
-)
+from repro.core.residuals import centering_mu
+from repro.core.result import SolverResult, SolveStatus, with_attempts
 from repro.core.settings import CrossbarSolverSettings
-from repro.core.stepsize import ratio_test_theta
 from repro.crossbar.opstack import AnalogOperatorStack
 from repro.obs.clock import Stopwatch
 from repro.reliability.policy import RecoveryPolicy
@@ -83,70 +71,22 @@ def _group_key(system: AugmentedNewtonSystem) -> tuple:
     return (system.size, rows.tobytes(), cols.tobytes())
 
 
-@dataclasses.dataclass
-class _Member:
-    """Per-member lockstep state mirroring one serial ``_solve_once``."""
-
-    problem: LinearProgram
-    system: AugmentedNewtonSystem
-    x: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    z: np.ndarray
-    eps_primal: float
-    eps_dual: float
-    eps_gap: float
-    divergence_bound: float
-    collapse_bound: float
-    best_score: float = np.inf
-    best_state: tuple = ()
-    stall: int = 0
-    multiplies: int = 0
-    solves: int = 0
-    iterations: int = 0
-    status: SolveStatus = SolveStatus.ITERATION_LIMIT
-    message: str = ""
-    reason: FailureReason = FailureReason.NONE
-    done: bool = False
-
-    def finish(self, status, message="", reason=FailureReason.NONE):
-        self.status = status
-        self.message = message
-        self.reason = reason
-        self.done = True
-
-
-def _relaxed_ok(member: _Member, settings: CrossbarSolverSettings) -> bool:
-    return member.problem.satisfies_relaxed_constraints(
-        member.x,
-        settings.alpha,
-        member.problem.variation_row_tolerance(
-            member.x, settings.variation.relative_magnitude
-        ),
-    )
-
-
 def _lockstep_attempt(
-    members: list[_Member],
+    members: list[tuple[AugmentedNewtonSystem, AttemptState]],
     settings: CrossbarSolverSettings,
     seeds: list[int],
     backend: Backend | str | None,
 ) -> list[SolverResult]:
     """One cold recovery-ladder attempt for the whole group, batched.
 
-    Mirrors ``CrossbarPDIPSolver._solve_once`` member-by-member; the
-    construction, diagonal rewrites, multiplies and solves run as
-    single stacked tensor ops.
+    ``members`` pairs each problem's Newton system with its attempt
+    state.  The construction, diagonal rewrites, multiplies and solves
+    run as single stacked tensor ops; every exit is the state's own.
     """
-    k_members = len(members)
-    size = members[0].system.size
-    matrices = np.empty((k_members, size, size))
-    for k, member in enumerate(members):
-        matrices[k] = member.system.build_matrix(
-            member.x, member.y, member.w, member.z
-        )
     opstack = AnalogOperatorStack(
-        matrices,
+        np.stack(
+            [system.build_matrix(*state.iterate) for system, state in members]
+        ),
         params=settings.device,
         variation=settings.variation,
         rngs=[np.random.default_rng(seed) for seed in seeds],
@@ -157,254 +97,67 @@ def _lockstep_attempt(
         write_verify=settings.write_verify,
         backend=backend,
     )
-
-    converter_bits = [
-        bits
-        for bits in (settings.dac_bits, settings.adc_bits)
-        if bits is not None
-    ]
-    quant_rel = 3.0 * 2.0 ** -min(converter_bits) if converter_bits else 0.0
-    diag_rows, diag_cols, _ = members[0].system.diagonal_update(
-        members[0].x, members[0].y, members[0].w, members[0].z
-    )
+    system0, state0 = members[0]
+    diag_rows, diag_cols, _ = system0.diagonal_update(*state0.iterate)
 
     for iteration in range(settings.max_iterations):
-        active = [k for k in range(k_members) if not members[k].done]
-        if not active:
-            break
-        mus = {}
-        for k in active:
-            member = members[k]
-            mus[k] = centering_mu(
-                member.x, member.y, member.w, member.z, settings.delta
-            )
-        if iteration:
-            values = np.stack(
-                [
-                    members[k].system.diagonal_update(
-                        members[k].x, members[k].y, members[k].w, members[k].z
-                    )[2]
-                    for k in active
-                ]
-            )
-            opstack.update_coefficients(
-                diag_rows,
-                diag_cols,
-                values,
-                floor_to_representable=True,
-                members=np.array(active),
-            )
-
         # Compact tensors over the still-active members only: stragglers
         # near the iteration cap no longer drag the whole stack through
         # the analog ops (each member's row is computed independently,
         # so the subset results stay bitwise identical).
-        state = np.empty((len(active), size))
-        for pos, k in enumerate(active):
-            member = members[k]
-            state[pos] = member.system.state_vector(
-                member.x, member.y, member.w, member.z
+        active = [k for k, (_, state) in enumerate(members) if not state.done]
+        if not active:
+            break
+        live = [members[k] for k in active]
+        if iteration:
+            opstack.update_coefficients(
+                diag_rows,
+                diag_cols,
+                np.stack(
+                    [
+                        system.diagonal_update(*state.iterate)[2]
+                        for system, state in live
+                    ]
+                ),
+                floor_to_representable=True,
+                members=np.array(active),
             )
-        products = opstack.multiply(state, members=np.array(active))
+        products = opstack.multiply(
+            np.stack(
+                [system.state_vector(*state.iterate) for system, state in live]
+            ),
+            members=np.array(active),
+        )
 
         solving = []
-        residual_rows = []
-        for pos, k in enumerate(active):
-            member = members[k]
-            member.multiplies += 1
-            residual = member.system.residual_from_product(
-                products[pos], mus[k]
-            )
-            p_inf, d_inf = member.system.infeasibility_norms(residual)
-            gap = duality_gap(member.x, member.y, member.w, member.z)
-            lay = member.system.layout
-            floor_p = quant_rel * float(
-                np.max(np.abs(products[pos][lay.row_primal]), initial=0.0)
-            )
-            floor_d = quant_rel * float(
-                np.max(np.abs(products[pos][lay.row_dual]), initial=0.0)
-            )
-            if converged(
-                p_inf,
-                d_inf,
-                gap,
-                eps_primal=max(member.eps_primal, floor_p),
-                eps_dual=max(member.eps_dual, floor_d),
-                eps_gap=member.eps_gap,
-            ):
-                member.finish(SolveStatus.OPTIMAL)
-                continue
-
-            score = max(
-                p_inf / member.eps_primal,
-                d_inf / member.eps_dual,
-                gap / member.eps_gap,
-            )
-            if score < member.best_score * (1.0 - 1e-3):
-                member.best_score = score
-                member.best_state = (member.x, member.y, member.w, member.z)
-                member.stall = 0
-            else:
-                member.stall += 1
-                if member.stall >= settings.stall_iterations:
-                    iterate_peak = max(
-                        float(np.max(np.abs(member.x), initial=0.0)),
-                        float(np.max(np.abs(member.y), initial=0.0)),
-                    )
-                    member.x, member.y, member.w, member.z = member.best_state
-                    if iterate_peak > member.collapse_bound:
-                        member.finish(
-                            SolveStatus.INFEASIBLE, "stalled while diverging"
-                        )
-                    elif _relaxed_ok(member, settings):
-                        member.finish(
-                            SolveStatus.OPTIMAL,
-                            "stalled at analog noise floor; relaxed "
-                            "feasibility check passed",
-                        )
-                    else:
-                        member.finish(
-                            SolveStatus.ITERATION_LIMIT,
-                            "stalled without a feasible iterate",
-                            FailureReason.NO_FEASIBLE_ITERATE,
-                        )
-                    continue
-            residual_rows.append(residual)
-            solving.append(k)
+        residuals = []
+        for product, k, (system, state) in zip(products, active, live):
+            state.multiplies += 1
+            mu = centering_mu(*state.iterate, settings.delta)
+            residual, *norms = augmented_readout(system, product, mu)
+            if state.check(*norms):
+                residuals.append(residual)
+                solving.append(k)
 
         if not solving:
             continue
         deltas, errors = opstack.try_solve(
-            np.stack(residual_rows), members=np.array(solving)
+            np.stack(residuals), members=np.array(solving)
         )
-        for pos, k in enumerate(solving):
-            member = members[k]
-            if errors[pos] is not None:
-                iterate_peak = max(
-                    float(np.max(np.abs(member.x), initial=0.0)),
-                    float(np.max(np.abs(member.y), initial=0.0)),
-                )
-                if iterate_peak > member.collapse_bound:
-                    member.finish(
-                        SolveStatus.INFEASIBLE,
-                        f"divergence collapsed the mapping: {errors[pos]}",
-                    )
-                else:
-                    member.finish(
-                        SolveStatus.NUMERICAL_FAILURE,
-                        str(errors[pos]),
-                        FailureReason.SINGULAR_SYSTEM,
-                    )
+        for delta, error, k in zip(deltas, errors, solving):
+            system, state = members[k]
+            if error is not None:
+                state.solve_failed(error)
                 continue
-            member.solves += 1
-            dx, dy, dw, dz = member.system.extract_steps(deltas[pos])
-            theta = ratio_test_theta(
-                np.concatenate([member.x, member.y, member.w, member.z]),
-                np.concatenate([dx, dy, dw, dz]),
-                step_scale=settings.step_scale,
-                ignore_below=settings.positivity_floor * 1e4,
-            )
-            floor = settings.positivity_floor
-            member.x = np.maximum(member.x + theta * dx, floor)
-            member.y = np.maximum(member.y + theta * dy, floor)
-            member.w = np.maximum(member.w + theta * dw, floor)
-            member.z = np.maximum(member.z + theta * dz, floor)
-            member.iterations = iteration + 1
+            state.solves += 1
+            steps = system.extract_steps(delta)
+            state.step(iteration, state.ratio_test(steps), steps)
 
-            divergence = detect_divergence(
-                member.x, member.y, member.divergence_bound
-            )
-            if divergence is not DivergenceKind.NONE:
-                member.finish(SolveStatus.INFEASIBLE, divergence.value)
-
-    results = []
-    for k, member in enumerate(members):
-        if (
-            member.status is SolveStatus.ITERATION_LIMIT
-            and not member.message
-        ):
-            member.x, member.y, member.w, member.z = member.best_state
-            if _relaxed_ok(member, settings):
-                member.status = SolveStatus.OPTIMAL
-                member.message = (
-                    "iteration limit; accepted best feasible iterate"
-                )
-            else:
-                member.message = "iteration limit without a feasible iterate"
-                member.reason = FailureReason.NO_FEASIBLE_ITERATE
-
-        if member.status is SolveStatus.OPTIMAL and not _relaxed_ok(
-            member, settings
-        ):
-            member.status = SolveStatus.NUMERICAL_FAILURE
-            member.message = "final constraint check A x <= alpha b failed"
-            member.reason = FailureReason.FINAL_CHECK_FAILED
-
-        if member.status in _CONCLUSIVE:
-            member.reason = FailureReason.NONE
-
-        report = opstack.write_reports[k]
-        counters = CrossbarCounters(
-            multiplies=member.multiplies,
-            solves=member.solves,
-            cells_written=report.cells_written,
-            write_pulses=report.pulses,
-            write_latency_s=report.latency_s,
-            write_energy_j=report.energy_j,
-            array_size=member.system.size,
-            verify_reads=report.verify_reads,
-            verify_repulsed=report.repulsed_cells,
-            verify_unverified=report.unverified_cells,
-        )
-        results.append(
-            SolverResult(
-                status=member.status,
-                x=member.x,
-                y=member.y,
-                w=member.w,
-                z=member.z,
-                objective=member.problem.objective(member.x),
-                iterations=member.iterations,
-                crossbar=counters,
-                message=member.message,
-                failure_reason=member.reason,
-            )
-        )
-    return results
-
-
-def _make_member(
-    problem: LinearProgram,
-    system: AugmentedNewtonSystem,
-    settings: CrossbarSolverSettings,
-) -> _Member:
-    m, n = problem.A.shape
-    x = np.full(n, settings.initial_value)
-    z = np.full(n, settings.initial_value)
-    y = np.full(m, settings.initial_value)
-    w = np.full(m, settings.initial_value)
-    gap0 = (n + m) * settings.initial_value**2
-    member = _Member(
-        problem=problem,
-        system=system,
-        x=x,
-        y=y,
-        w=w,
-        z=z,
-        eps_primal=settings.eps_primal
-        * (1.0 + float(np.max(np.abs(problem.b), initial=0.0))),
-        eps_dual=settings.eps_dual
-        * (1.0 + float(np.max(np.abs(problem.c), initial=0.0))),
-        eps_gap=settings.eps_gap * max(1.0, gap0),
-        divergence_bound=scaled_big_m(problem, settings.big_m),
-        collapse_bound=collapse_threshold(
-            problem,
-            settings.device.resistance_ratio,
-            settings.scale_headroom,
-        ),
-    )
-    member.best_state = (x, y, w, z)
-    return member
+    reports = opstack.write_reports
+    return [
+        state.result(reports[k], system.size)
+        for k, (system, state) in enumerate(members)
+    ]
 
 
 def solve_crossbar_batch(
@@ -415,7 +168,6 @@ def solve_crossbar_batch(
     recovery: RecoveryPolicy | None = None,
     trace: bool = False,
     backend: Backend | str | None = None,
-    min_group: int = 2,
 ) -> list[SolverResult]:
     """Solve many LPs on batched crossbar fleets, bitwise == serial.
 
@@ -440,9 +192,9 @@ def solve_crossbar_batch(
     backend:
         Tensor backend for the batched analog ops (name, instance, or
         ``None`` for the config/env default).
-    min_group:
-        Smallest structural group worth stacking; smaller groups run
-        serially.
+
+    Problems whose structural signature no other problem shares run
+    serially: a one-member stack saves nothing.
 
     Returns the per-problem :class:`SolverResult` list, index-aligned
     with ``problems``.
@@ -480,7 +232,7 @@ def solve_crossbar_batch(
         groups.setdefault(_group_key(system), []).append(index)
 
     for indices in groups.values():
-        if len(indices) < max(2, min_group):
+        if len(indices) < 2:
             for index in indices:
                 results[index] = serial(index)
             continue
@@ -490,7 +242,7 @@ def solve_crossbar_batch(
         snapshots = [rngs[index].bit_generator.state for index in indices]
         seeds = [int(rngs[index].integers(0, 2**63)) for index in indices]
         members = [
-            _make_member(problems[index], systems[index], settings)
+            (systems[index], AttemptState(problems[index], settings))
             for index in indices
         ]
         with Stopwatch() as clock:

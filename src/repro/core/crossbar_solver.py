@@ -28,32 +28,17 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.feasibility import (
-    DivergenceKind,
-    collapse_threshold,
-    detect_divergence,
-    scaled_big_m,
-)
+from repro.core.attempt import AttemptState, run_attempt, solve_on_ladder
 from repro.core.newton import AugmentedNewtonSystem
 from repro.core.problem import LinearProgram
-from repro.core.residuals import centering_mu, converged, duality_gap
-from repro.core.result import (
-    CrossbarCounters,
-    FailureReason,
-    IterationRecord,
-    SolverResult,
-    SolveStatus,
-)
+from repro.core.result import SolverResult
 from repro.core.settings import CrossbarSolverSettings
-from repro.core.stepsize import ratio_test_theta
-from repro.core.warmstart import validated_state as _validated_state
 from repro.crossbar.ops import AnalogMatrixOperator
-from repro.exceptions import CrossbarSolveError, MappingError
+from repro.exceptions import MappingError
 from repro.obs.clock import Deadline, Stopwatch
 from repro.obs.tracer import NOOP, Tracer
 from repro.reliability.policy import RecoveryPolicy
 from repro.reliability.probe import ProbeReport, probe_operator
-from repro.reliability.recovery import solve_with_recovery
 from repro.reliability.telemetry import RecoveryAction
 
 
@@ -161,20 +146,7 @@ class CrossbarPDIPSolver:
                 initial_state=first_rung.pop("initial_state", None),
             )
 
-        with Stopwatch() as clock, self.tracer.span(
-            "solve", solver="crossbar", constraints=self.problem.A.shape[0]
-        ):
-            result = solve_with_recovery(
-                attempt,
-                self.recovery,
-                self.problem,
-                self.rng,
-                tracer=self.tracer,
-                deadline=self.deadline,
-            )
-        return dataclasses.replace(
-            result, elapsed_seconds=clock.elapsed_seconds
-        )
+        return solve_on_ladder(self, "crossbar", attempt)
 
     def solve_on(
         self,
@@ -222,15 +194,22 @@ class CrossbarPDIPSolver:
         ``settings.initial_value``) is what :meth:`solve_on` expects to
         find; the serving layer uses this as the cold-path programmer.
         """
-        settings = self.settings
-        x0 = np.full(self.problem.A.shape[1], settings.initial_value)
-        y0 = np.full(self.problem.A.shape[0], settings.initial_value)
+        x0 = np.full(self.problem.A.shape[1], self.settings.initial_value)
+        y0 = np.full(self.problem.A.shape[0], self.settings.initial_value)
         matrix = self.system.build_matrix(x0, y0, y0.copy(), x0.copy())
+        return self._program(matrix, rng if rng is not None else self.rng)
+
+    # -- one attempt -----------------------------------------------------------
+
+    def _program(
+        self, matrix: np.ndarray, rng: np.random.Generator
+    ) -> AnalogMatrixOperator:
+        settings = self.settings
         return AnalogMatrixOperator(
             matrix,
             params=settings.device,
             variation=settings.variation,
-            rng=rng if rng is not None else self.rng,
+            rng=rng,
             dac_bits=settings.dac_bits,
             adc_bits=settings.adc_bits,
             scale_headroom=settings.scale_headroom,
@@ -238,47 +217,6 @@ class CrossbarPDIPSolver:
             off_state=settings.off_state,
             write_verify=settings.write_verify,
             tracer=self.tracer,
-        )
-
-    # -- one attempt -----------------------------------------------------------
-
-    def _probe_rejection(
-        self,
-        probe: ProbeReport,
-        report,
-        multiplies: int,
-    ) -> SolverResult:
-        """Short-circuit result for an array the health probe rejected."""
-        problem = self.problem
-        m, n = problem.A.shape
-        counters = CrossbarCounters(
-            multiplies=multiplies,
-            solves=0,
-            cells_written=report.cells_written,
-            write_pulses=report.pulses,
-            write_latency_s=report.latency_s,
-            write_energy_j=report.energy_j,
-            array_size=self.system.size,
-            verify_reads=report.verify_reads,
-            verify_repulsed=report.repulsed_cells,
-            verify_unverified=report.unverified_cells,
-        )
-        x = np.zeros(n)
-        return SolverResult(
-            status=SolveStatus.NUMERICAL_FAILURE,
-            x=x,
-            y=np.zeros(m),
-            w=np.zeros(m),
-            z=np.zeros(n),
-            objective=problem.objective(x),
-            iterations=0,
-            crossbar=counters,
-            message=(
-                f"health probe rejected array: relative error "
-                f"{probe.max_rel_error:.3g} exceeds tolerance "
-                f"{probe.tolerance:.3g}"
-            ),
-            failure_reason=FailureReason.PROBE_UNHEALTHY,
         )
 
     def _solve_once(
@@ -290,41 +228,19 @@ class CrossbarPDIPSolver:
         redraw: np.random.Generator | None = None,
         initial_state: tuple[np.ndarray, ...] | None = None,
     ) -> tuple[SolverResult, ProbeReport | None]:
-        problem = self.problem
-        settings = self.settings
         system = self.system
         tracer = self.tracer
-        m, n = problem.A.shape
         rng = rng if rng is not None else self.rng
-
-        if initial_state is not None:
-            x, y, w, z = _validated_state(initial_state, m, n, settings)
-        else:
-            x = np.full(n, settings.initial_value)
-            z = np.full(n, settings.initial_value)
-            y = np.full(m, settings.initial_value)
-            w = np.full(m, settings.initial_value)
+        state = AttemptState(self.problem, self.settings, initial_state)
 
         if operator is None:
             # Eqn. 13/14a: eliminate negatives via compensation
             # variables and assemble the augmented non-negative Newton
             # matrix.
             with tracer.span("reformulate"):
-                matrix = system.build_matrix(x, y, w, z)
+                matrix = system.build_matrix(*state.iterate)
             with tracer.span("program", array="M"):
-                operator = AnalogMatrixOperator(
-                    matrix,
-                    params=settings.device,
-                    variation=settings.variation,
-                    rng=rng,
-                    dac_bits=settings.dac_bits,
-                    adc_bits=settings.adc_bits,
-                    scale_headroom=settings.scale_headroom,
-                    row_scaling=settings.row_scaling,
-                    off_state=settings.off_state,
-                    write_verify=settings.write_verify,
-                    tracer=tracer,
-                )
+                operator = self._program(matrix, rng)
             self._last_operator = operator
             base_report = None
         else:
@@ -344,7 +260,7 @@ class CrossbarPDIPSolver:
                 with tracer.span("program", array="M", redraw=True):
                     operator.redraw_variation(redraw)
             with tracer.span("program", array="M", warm=True):
-                rows, cols, values = system.diagonal_update(x, y, w, z)
+                rows, cols, values = system.diagonal_update(*state.iterate)
                 operator.update_coefficients(
                     rows, cols, values, floor_to_representable=True
                 )
@@ -352,8 +268,6 @@ class CrossbarPDIPSolver:
                 # remaps inflate the representable floor, which would
                 # make warm starts converge slower than cold ones.
                 operator.renormalize()
-        multiplies = 0
-        solves = 0
 
         probe = None
         if self.recovery.probe is not None:
@@ -361,264 +275,84 @@ class CrossbarPDIPSolver:
                 probe = probe_operator(
                     operator, self.recovery.probe, rng, label="M"
                 )
-            multiplies += probe.vectors
+            state.multiplies += probe.vectors
             if not probe.healthy:
-                tracer.gauge("solver.iterations", 0)
-                report = operator.write_report
-                if base_report is not None:
-                    report = report - base_report
-                return (
-                    self._probe_rejection(probe, report, multiplies),
-                    probe,
-                )
-
-        eps_primal = settings.eps_primal * (
-            1.0 + float(np.max(np.abs(problem.b), initial=0.0))
-        )
-        eps_dual = settings.eps_dual * (
-            1.0 + float(np.max(np.abs(problem.c), initial=0.0))
-        )
-        # Gap tolerance is anchored at the *nominal* cold-start gap
-        # ((n+m) * initial_value^2) so a warm start near the optimum is
-        # judged by the same absolute threshold as a cold solve — not
-        # by its own (tiny) initial gap, which would demand a far
-        # tighter answer from exactly the runs meant to finish fast.
-        gap0 = (n + m) * settings.initial_value**2
-        eps_gap = settings.eps_gap * max(1.0, gap0)
-        converter_bits = [
-            bits
-            for bits in (settings.dac_bits, settings.adc_bits)
-            if bits is not None
-        ]
-        quant_rel = 3.0 * 2.0 ** -min(converter_bits) if converter_bits else 0.0
-        divergence_bound = scaled_big_m(problem, settings.big_m)
-        collapse_bound = collapse_threshold(
-            problem,
-            settings.device.resistance_ratio,
-            settings.scale_headroom,
-        )
-
-        best_score = np.inf
-        best_state = (x, y, w, z)
-        stall = 0
-        records: list[IterationRecord] = []
-        iterations = 0
-        status = SolveStatus.ITERATION_LIMIT
-        message = ""
-        reason = FailureReason.NONE
-
-        deadline = self.deadline
-        for iteration in range(settings.max_iterations):
-          if deadline is not None and deadline.expired:
-            status = SolveStatus.NUMERICAL_FAILURE
-            message = (
-                f"deadline of {deadline.budget_s:.3g}s exceeded after "
-                f"{iterations} iterations"
-            )
-            reason = FailureReason.DEADLINE_EXCEEDED
-            break
-          with tracer.span("iteration", index=iteration):
-            mu = centering_mu(x, y, w, z, settings.delta)
-            if iteration:
-                with tracer.span("newton_assembly"):
-                    rows, cols, values = system.diagonal_update(x, y, w, z)
-                # The complementarity diagonals must stay nonzero or the
-                # programmed system turns singular; clamp at the smallest
-                # representable coefficient.
-                with tracer.span("program", array="M"):
-                    operator.update_coefficients(
-                        rows, cols, values, floor_to_representable=True
-                    )
-
-            with tracer.span("residual"):
-                state = system.state_vector(x, y, w, z)
-                product = operator.multiply(state)
-                multiplies += 1
-                residual = system.residual_from_product(product, mu)
-                p_inf, d_inf = system.infeasibility_norms(residual)
-                gap = duality_gap(x, y, w, z)
-
-            # The converters bound how small a residual the controller
-            # can resolve: the analog product carries ~2^-bits relative
-            # error of its block peak.  Demanding less than that noise
-            # floor would spin forever, so the effective tolerances
-            # track it (the controller knows its own ADC resolution).
-            lay = system.layout
-            floor_p = quant_rel * float(
-                np.max(np.abs(product[lay.row_primal]), initial=0.0)
-            )
-            floor_d = quant_rel * float(
-                np.max(np.abs(product[lay.row_dual]), initial=0.0)
-            )
-            if converged(
-                p_inf,
-                d_inf,
-                gap,
-                eps_primal=max(eps_primal, floor_p),
-                eps_dual=max(eps_dual, floor_d),
-                eps_gap=eps_gap,
-            ):
-                status = SolveStatus.OPTIMAL
-                break
-
-            score = max(p_inf / eps_primal, d_inf / eps_dual, gap / eps_gap)
-            if score < best_score * (1.0 - 1e-3):
-                best_score = score
-                best_state = (x, y, w, z)
-                stall = 0
-            else:
-                stall += 1
-                if stall >= settings.stall_iterations:
-                    iterate_peak = max(
-                        float(np.max(np.abs(x), initial=0.0)),
-                        float(np.max(np.abs(y), initial=0.0)),
-                    )
-                    x, y, w, z = best_state
-                    if iterate_peak > collapse_bound:
-                        status = SolveStatus.INFEASIBLE
-                        message = "stalled while diverging"
-                    elif problem.satisfies_relaxed_constraints(
-                        x,
-                        settings.alpha,
-                        problem.variation_row_tolerance(
-                            x, settings.variation.relative_magnitude
-                        ),
-                    ):
-                        status = SolveStatus.OPTIMAL
-                        message = (
-                            "stalled at analog noise floor; relaxed "
-                            "feasibility check passed"
-                        )
-                    else:
-                        status = SolveStatus.ITERATION_LIMIT
-                        message = "stalled without a feasible iterate"
-                        reason = FailureReason.NO_FEASIBLE_ITERATE
-                    break
-
-            try:
-                with tracer.span("analog_solve"):
-                    delta = operator.solve(residual)
-            except CrossbarSolveError as exc:
-                iterate_peak = max(
-                    float(np.max(np.abs(x), initial=0.0)),
-                    float(np.max(np.abs(y), initial=0.0)),
-                )
-                if iterate_peak > collapse_bound:
-                    # The iterates grew until the conductance mapping's
-                    # dynamic range collapsed — a hardware manifestation
-                    # of the big-M divergence certificate.
-                    status = SolveStatus.INFEASIBLE
-                    message = f"divergence collapsed the mapping: {exc}"
-                else:
-                    status = SolveStatus.NUMERICAL_FAILURE
-                    message = str(exc)
-                    reason = FailureReason.SINGULAR_SYSTEM
-                break
-            solves += 1
-
-            with tracer.span("step"):
-                dx, dy, dw, dz = system.extract_steps(delta)
-                theta = ratio_test_theta(
-                    np.concatenate([x, y, w, z]),
-                    np.concatenate([dx, dy, dw, dz]),
-                    step_scale=settings.step_scale,
-                    ignore_below=settings.positivity_floor * 1e4,
-                )
-                floor = settings.positivity_floor
-                x = np.maximum(x + theta * dx, floor)
-                y = np.maximum(y + theta * dy, floor)
-                w = np.maximum(w + theta * dw, floor)
-                z = np.maximum(z + theta * dz, floor)
-            iterations = iteration + 1
-
-            divergence = detect_divergence(x, y, divergence_bound)
-            if divergence is not DivergenceKind.NONE:
-                status = SolveStatus.INFEASIBLE
-                message = divergence.value
-                break
-
-            if trace:
-                report = operator.write_report
-                records.append(
-                    IterationRecord(
-                        index=iteration,
-                        mu=mu,
-                        duality_gap=duality_gap(x, y, w, z),
-                        primal_infeasibility=p_inf,
-                        dual_infeasibility=d_inf,
-                        theta=theta,
-                        cells_written=report.cells_written,
-                    )
-                )
-
-        if status is SolveStatus.ITERATION_LIMIT and not message:
-            # Ran out of iterations while still (slowly) improving:
-            # classify the best iterate the same way the stall exit does.
-            x, y, w, z = best_state
-            if problem.satisfies_relaxed_constraints(
-                x,
-                settings.alpha,
-                problem.variation_row_tolerance(
-                    x, settings.variation.relative_magnitude
-                ),
-            ):
-                status = SolveStatus.OPTIMAL
-                message = (
-                    "iteration limit; accepted best feasible iterate"
-                )
-            else:
-                message = "iteration limit without a feasible iterate"
-                reason = FailureReason.NO_FEASIBLE_ITERATE
-
-        if status is SolveStatus.OPTIMAL and not (
-            problem.satisfies_relaxed_constraints(
-                x,
-                settings.alpha,
-                problem.variation_row_tolerance(
-                    x, settings.variation.relative_magnitude
-                ),
-            )
-        ):
-            # Section 3.2's robust feasibility detection: variation can
-            # warp the realized feasible region, so never report a point
-            # violating A x <= alpha b as optimal.
-            status = SolveStatus.NUMERICAL_FAILURE
-            message = "final constraint check A x <= alpha b failed"
-            reason = FailureReason.FINAL_CHECK_FAILED
-
-        if status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
-            reason = FailureReason.NONE
-
-        tracer.gauge("solver.iterations", iterations)
-        report = operator.write_report
-        if base_report is not None:
-            report = report - base_report
-        counters = CrossbarCounters(
-            multiplies=multiplies,
-            solves=solves,
-            cells_written=report.cells_written,
-            write_pulses=report.pulses,
-            write_latency_s=report.latency_s,
-            write_energy_j=report.energy_j,
-            array_size=system.size,
-            verify_reads=report.verify_reads,
-            verify_repulsed=report.repulsed_cells,
-            verify_unverified=report.unverified_cells,
-        )
-        result = SolverResult(
-            status=status,
-            x=x,
-            y=y,
-            w=w,
-            z=z,
-            objective=problem.objective(x),
-            iterations=iterations,
-            trace=tuple(records),
-            crossbar=counters,
-            message=message,
-            failure_reason=reason,
+                state.probe_rejected(probe, "array")
+        arrays = _AugmentedArrays(system, operator, base_report, tracer)
+        result = run_attempt(
+            state, arrays, tracer=tracer, deadline=self.deadline, trace=trace
         )
         return result, probe
+
+
+def augmented_readout(
+    system: AugmentedNewtonSystem, product: np.ndarray, mu: float
+) -> tuple:
+    """Residual, infeasibility norms and block peaks from one product.
+
+    The product of M with the packed state (Eqn. 15b) is subtracted
+    from the constant targets — the summing amplifier's job — giving
+    the Newton right-hand side; the peaks of its primal and dual rows
+    set the converter noise floor (see
+    :meth:`~repro.core.attempt.AttemptState.check`).
+    """
+    residual = system.residual_from_product(product, mu)
+    p_inf, d_inf = system.infeasibility_norms(residual)
+    lay = system.layout
+    return (
+        residual,
+        p_inf,
+        d_inf,
+        float(np.max(np.abs(product[lay.row_primal]), initial=0.0)),
+        float(np.max(np.abs(product[lay.row_dual]), initial=0.0)),
+    )
+
+
+class _AugmentedArrays:
+    """Solver 1's arrays adapter (see :mod:`repro.core.attempt`): one
+    operator holding the augmented Newton matrix M."""
+
+    def __init__(self, system, operator, base_report, tracer) -> None:
+        self.system = system
+        self.operator = operator
+        self.base_report = base_report
+        self.tracer = tracer
+        self.size = system.size
+
+    def update(self, state: AttemptState) -> None:
+        with self.tracer.span("newton_assembly"):
+            rows, cols, values = self.system.diagonal_update(*state.iterate)
+        # The complementarity diagonals must stay nonzero or the
+        # programmed system turns singular; clamp at the smallest
+        # representable coefficient.
+        with self.tracer.span("program", array="M"):
+            self.operator.update_coefficients(
+                rows, cols, values, floor_to_representable=True
+            )
+
+    def residual(self, state: AttemptState, mu: float) -> tuple:
+        product = self.operator.multiply(
+            self.system.state_vector(*state.iterate)
+        )
+        state.multiplies += 1
+        return augmented_readout(self.system, product, mu)
+
+    def direction(self, state: AttemptState, residual, mu: float) -> tuple:
+        delta = self.operator.solve(residual)
+        state.solves += 1
+        return self.system.extract_steps(delta)
+
+    def step_length(self, state: AttemptState, steps) -> float:
+        return state.ratio_test(steps)
+
+    def trace_cells(self) -> int:
+        return self.operator.write_report.cells_written
+
+    def writes(self):
+        report = self.operator.write_report
+        if self.base_report is not None:
+            report = report - self.base_report
+        return report
 
 
 def solve_crossbar(

@@ -66,6 +66,11 @@ class FailureReason(enum.Enum):
 class IterationRecord:
     """One PDIP iteration's diagnostics.
 
+    The software reference solver records exact norms of the iterate
+    *after* the step.  The crossbar solvers record the norms their
+    analog residual read-out produced, i.e. at the iterate the step
+    *started from*; only the gap is taken after the step.
+
     Attributes
     ----------
     index:
@@ -75,13 +80,17 @@ class IterationRecord:
     duality_gap:
         ``z @ x + y @ w`` after the update.
     primal_infeasibility:
-        ``max |A x + w - b|`` after the update.
+        ``max |A x + w - b|`` (see above for which iterate).
     dual_infeasibility:
-        ``max |A^T y - z - c|`` after the update.
+        ``max |A^T y - z - c|`` (see above for which iterate).
     theta:
         Step length actually applied (Eqn. 11 or the constant policy).
     cells_written:
-        Crossbar cells reprogrammed for this iteration's matrix update.
+        A *cumulative* counter, not this iteration's writes: the
+        lifetime cells-written total of Solver 1's augmented operator,
+        or of Solver 2's M2 array, read after the step.  Differences
+        between successive records give per-iteration writes.  Always
+        0 for the reference solver.
     """
 
     index: int

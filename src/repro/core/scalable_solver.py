@@ -26,36 +26,18 @@ demonstrate their divergence).
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from repro.core.feasibility import (
-    DivergenceKind,
-    collapse_threshold,
-    detect_divergence,
-    scaled_big_m,
-)
+from repro.core.attempt import AttemptState, run_attempt, solve_on_ladder
 from repro.core.problem import LinearProgram
-from repro.core.residuals import centering_mu, converged, duality_gap
-from repro.core.result import (
-    CrossbarCounters,
-    FailureReason,
-    IterationRecord,
-    SolverResult,
-    SolveStatus,
-)
+from repro.core.result import SolverResult
 from repro.core.scalable_system import ScalableNewtonSystem
 from repro.core.settings import ScalableSolverSettings
-from repro.core.stepsize import ratio_test_theta
-from repro.core.warmstart import validated_state as _validated_state
 from repro.crossbar.ops import AnalogMatrixOperator
-from repro.exceptions import CrossbarSolveError
-from repro.obs.clock import Deadline, Stopwatch
+from repro.obs.clock import Deadline
 from repro.obs.tracer import NOOP, Tracer
 from repro.reliability.policy import RecoveryPolicy
 from repro.reliability.probe import ProbeReport, probe_operators
-from repro.reliability.recovery import solve_with_recovery
 from repro.reliability.telemetry import RecoveryAction
 
 
@@ -172,62 +154,7 @@ class LargeScaleCrossbarPDIPSolver:
                 initial_state=first_rung.pop("initial_state", None),
             )
 
-        with Stopwatch() as clock, self.tracer.span(
-            "solve",
-            solver="large_scale",
-            constraints=self.problem.A.shape[0],
-        ):
-            result = solve_with_recovery(
-                attempt,
-                self.recovery,
-                self.problem,
-                self.rng,
-                tracer=self.tracer,
-                deadline=self.deadline,
-            )
-        return dataclasses.replace(
-            result, elapsed_seconds=clock.elapsed_seconds
-        )
-
-    def _probe_rejection(
-        self,
-        probe: ProbeReport,
-        total_writes,
-        multiplies: int,
-    ) -> SolverResult:
-        """Short-circuit result for arrays the health probe rejected."""
-        problem = self.problem
-        system = self.system
-        m, n = problem.A.shape
-        counters = CrossbarCounters(
-            multiplies=multiplies,
-            solves=0,
-            cells_written=total_writes.cells_written,
-            write_pulses=total_writes.pulses,
-            write_latency_s=total_writes.latency_s,
-            write_energy_j=total_writes.energy_j,
-            array_size=max(system.size_m1, system.size_m2),
-            verify_reads=total_writes.verify_reads,
-            verify_repulsed=total_writes.repulsed_cells,
-            verify_unverified=total_writes.unverified_cells,
-        )
-        x = np.zeros(n)
-        return SolverResult(
-            status=SolveStatus.NUMERICAL_FAILURE,
-            x=x,
-            y=np.zeros(m),
-            w=np.zeros(m),
-            z=np.zeros(n),
-            objective=problem.objective(x),
-            iterations=0,
-            crossbar=counters,
-            message=(
-                f"health probe rejected array {probe.label!r}: relative "
-                f"error {probe.max_rel_error:.3g} exceeds tolerance "
-                f"{probe.tolerance:.3g}"
-            ),
-            failure_reason=FailureReason.PROBE_UNHEALTHY,
-        )
+        return solve_on_ladder(self, "large_scale", attempt)
 
     def _solve_once(
         self,
@@ -246,21 +173,13 @@ class LargeScaleCrossbarPDIPSolver:
         redraw: np.random.Generator | None = None,
         initial_state: tuple[np.ndarray, ...] | None = None,
     ) -> tuple[SolverResult, ProbeReport | None]:
-        problem = self.problem
         settings = self.settings
         system = self.system
-        m, n = problem.A.shape
-        rng = rng if rng is not None else self.rng
-
-        if initial_state is not None:
-            x, y, w, z = _validated_state(initial_state, m, n, settings)
-        else:
-            x = np.full(n, settings.initial_value)
-            z = np.full(n, settings.initial_value)
-            y = np.full(m, settings.initial_value)
-            w = np.full(m, settings.initial_value)
-
         tracer = self.tracer
+        rng = rng if rng is not None else self.rng
+        state = AttemptState(self.problem, settings, initial_state)
+        x, y, w, z = state.iterate
+
         if arrays is None:
             hardware = dict(
                 params=settings.device,
@@ -302,7 +221,8 @@ class LargeScaleCrossbarPDIPSolver:
                     scale_headroom=settings.scale_headroom,
                     **hardware,
                 )
-            self._last_arrays = (m1_solve, m1_mult, m2, d_array)
+            arrays = (m1_solve, m1_mult, m2, d_array)
+            self._last_arrays = arrays
             base_writes = None
         else:
             # Recovery-ladder reprogram: keep the mapped structure,
@@ -311,15 +231,10 @@ class LargeScaleCrossbarPDIPSolver:
             # through the differential write path.  m1_mult is
             # write-once (Eqn. 17a) — redraw only.
             m1_solve, m1_mult, m2, d_array = arrays
-            base_writes = (
-                m1_solve.write_report
-                + m1_mult.write_report
-                + m2.write_report
-                + d_array.write_report
-            )
+            base_writes = _total_writes(arrays)
             if redraw is not None:
                 with tracer.span("program", redraw=True):
-                    for warm_op in (m1_solve, m1_mult, m2, d_array):
+                    for warm_op in arrays:
                         warm_op.redraw_variation(redraw)
             with tracer.span("program", warm=True):
                 rows, cols, values = system.m1_coupling_update(x, y, w, z)
@@ -331,13 +246,8 @@ class LargeScaleCrossbarPDIPSolver:
                     (m2, system.m2_diagonal(x, y)),
                     (d_array, system.d_diagonal(z, w)),
                 ):
-                    d_rows, d_cols, d_vals = system.diag_update(diag)
-                    warm_op.update_coefficients(
-                        d_rows, d_cols, d_vals, floor_to_representable=True
-                    )
+                    _write_diagonal(system, warm_op, diag)
                     warm_op.renormalize()
-        multiplies = 0
-        solves = 0
 
         probe = None
         if self.recovery.probe is not None:
@@ -352,302 +262,121 @@ class LargeScaleCrossbarPDIPSolver:
                     self.recovery.probe,
                     rng,
                 )
-            multiplies += probe.vectors
+            state.multiplies += probe.vectors
             if not probe.healthy:
-                total_writes = (
-                    m1_solve.write_report
-                    + m1_mult.write_report
-                    + m2.write_report
-                    + d_array.write_report
-                )
-                if base_writes is not None:
-                    total_writes = total_writes - base_writes
-                tracer.gauge("solver.iterations", 0)
-                return (
-                    self._probe_rejection(probe, total_writes, multiplies),
-                    probe,
-                )
-
-        eps_primal = settings.eps_primal * (
-            1.0 + float(np.max(np.abs(problem.b), initial=0.0))
-        )
-        eps_dual = settings.eps_dual * (
-            1.0 + float(np.max(np.abs(problem.c), initial=0.0))
-        )
-        # Anchored at the nominal cold-start gap ((n+m)*initial_value^2,
-        # identical to duality_gap at the flat start) so warm starts
-        # are judged by the same absolute threshold as cold solves.
-        gap0 = (n + m) * settings.initial_value**2
-        eps_gap = settings.eps_gap * max(1.0, gap0)
-        converter_bits = [
-            bits
-            for bits in (settings.dac_bits, settings.adc_bits)
-            if bits is not None
-        ]
-        quant_rel = 3.0 * 2.0 ** -min(converter_bits) if converter_bits else 0.0
-        divergence_bound = scaled_big_m(problem, settings.big_m)
-        collapse_bound = collapse_threshold(
-            problem,
-            settings.device.resistance_ratio,
-            settings.scale_headroom,
-        )
-        theta = settings.constant_theta
-        floor = settings.positivity_floor
-
-        best_score = np.inf
-        best_state = (x, y, w, z)
-        stall = 0
-        records: list[IterationRecord] = []
-        iterations = 0
-        status = SolveStatus.ITERATION_LIMIT
-        message = ""
-        reason = FailureReason.NONE
-
-        def clamped_update(operator, values):
-            rows, cols, vals = system.diag_update(values)
-            operator.update_coefficients(
-                rows, cols, vals, floor_to_representable=True
-            )
-
-        deadline = self.deadline
-        for iteration in range(settings.max_iterations):
-          if deadline is not None and deadline.expired:
-            status = SolveStatus.NUMERICAL_FAILURE
-            message = (
-                f"deadline of {deadline.budget_s:.3g}s exceeded after "
-                f"{iterations} iterations"
-            )
-            reason = FailureReason.DEADLINE_EXCEEDED
-            break
-          with tracer.span("iteration", index=iteration):
-            gap = duality_gap(x, y, w, z)
-            mu = centering_mu(x, y, w, z, settings.delta)
-
-            if iteration:
-                with tracer.span("newton_assembly"):
-                    rows, cols, values = system.m1_coupling_update(
-                        x, y, w, z
-                    )
-                    m2_diag = system.m2_diagonal(x, y)
-                    d_diag = system.d_diagonal(z, w)
-                with tracer.span("program", array="m1_solve"):
-                    m1_solve.update_coefficients(
-                        rows, cols, values, floor_to_representable=True
-                    )
-                with tracer.span("program", array="m2"):
-                    clamped_update(m2, m2_diag)
-                with tracer.span("program", array="d"):
-                    clamped_update(d_array, d_diag)
-
-            # --- residuals via the constant multiply array ------------
-            with tracer.span("residual"):
-                product1 = m1_mult.multiply(system.state_vector_m1(x, y))
-                multiplies += 1
-                p_inf, d_inf = system.infeasibility_norms(product1, w, z)
-
-            # Converter noise floor on the residual read-out (see the
-            # matching comment in crossbar_solver).
-            floor_p = quant_rel * float(
-                np.max(np.abs(product1[:m]), initial=0.0)
-            )
-            floor_d = quant_rel * float(
-                np.max(np.abs(product1[m:m + n]), initial=0.0)
-            )
-            if converged(
-                p_inf,
-                d_inf,
-                gap,
-                eps_primal=max(eps_primal, floor_p),
-                eps_dual=max(eps_dual, floor_d),
-                eps_gap=eps_gap,
-            ):
-                status = SolveStatus.OPTIMAL
-                break
-
-            score = max(p_inf / eps_primal, d_inf / eps_dual, gap / eps_gap)
-            if score < best_score * (1.0 - 1e-3):
-                best_score = score
-                best_state = (x, y, w, z)
-                stall = 0
-            else:
-                stall += 1
-                if stall >= settings.stall_iterations:
-                    iterate_peak = max(
-                        float(np.max(np.abs(x), initial=0.0)),
-                        float(np.max(np.abs(y), initial=0.0)),
-                    )
-                    x, y, w, z = best_state
-                    if iterate_peak > collapse_bound:
-                        status = SolveStatus.INFEASIBLE
-                        message = "stalled while diverging"
-                    elif problem.satisfies_relaxed_constraints(
-                        x,
-                        settings.alpha,
-                        problem.variation_row_tolerance(
-                            x, settings.variation.relative_magnitude
-                        ),
-                    ):
-                        status = SolveStatus.OPTIMAL
-                        message = (
-                            "stalled at analog noise floor; relaxed "
-                            "feasibility check passed"
-                        )
-                    else:
-                        status = SolveStatus.ITERATION_LIMIT
-                        message = "stalled without a feasible iterate"
-                        reason = FailureReason.NO_FEASIBLE_ITERATE
-                    break
-
-            try:
-                with tracer.span("analog_solve"):
-                    # --- first half: Δx, Δy from M1 -------------------
-                    if settings.rhs_mode == "exact":
-                        # The controller holds x, y digitally (it
-                        # programs the M2 diagonal from them every
-                        # iteration), so the central-path targets mu/x,
-                        # mu/y are O(N) digital scalar ops, like the
-                        # summing-amplifier subtraction.
-                        r1 = system.residual_m1(product1, mu / x, mu / y)
-                    else:
-                        r1 = system.paper_residual_m1(product1, w, z)
-                    delta1 = m1_solve.solve(r1)
-                    solves += 1
-                    dx, dy = system.extract_steps_m1(delta1)
-
-                    # --- second half: Δz, Δw from M2 (recovery) -------
-                    product2 = m2.multiply(np.concatenate([z, w]))
-                    multiplies += 1
-                    if settings.recovery == "coupled":
-                        coupling = d_array.multiply(
-                            np.concatenate([dx, dy])
-                        )
-                        multiplies += 1
-                    else:
-                        coupling = None
-                    r2 = system.residual_m2(mu, product2, coupling)
-                    delta2 = m2.solve(r2)
-                    solves += 1
-                    dz, dw = system.extract_steps_m2(delta2)
-            except CrossbarSolveError as exc:
-                iterate_peak = max(
-                    float(np.max(np.abs(x), initial=0.0)),
-                    float(np.max(np.abs(y), initial=0.0)),
-                )
-                if iterate_peak > collapse_bound:
-                    # Dynamic-range collapse while the iterates diverge:
-                    # the big-M certificate, reached through hardware.
-                    status = SolveStatus.INFEASIBLE
-                    message = f"divergence collapsed the mapping: {exc}"
-                else:
-                    status = SolveStatus.NUMERICAL_FAILURE
-                    message = str(exc)
-                    reason = FailureReason.SINGULAR_SYSTEM
-                break
-
-            with tracer.span("step"):
-                if settings.step_policy == "capped_ratio":
-                    theta = min(
-                        settings.constant_theta,
-                        ratio_test_theta(
-                            np.concatenate([x, y, w, z]),
-                            np.concatenate([dx, dy, dw, dz]),
-                            step_scale=settings.step_scale,
-                            ignore_below=settings.positivity_floor * 1e4,
-                        ),
-                    )
-                x = np.maximum(x + theta * dx, floor)
-                y = np.maximum(y + theta * dy, floor)
-                z = np.maximum(z + theta * dz, floor)
-                w = np.maximum(w + theta * dw, floor)
-            iterations = iteration + 1
-
-            divergence = detect_divergence(x, y, divergence_bound)
-            if divergence is not DivergenceKind.NONE:
-                status = SolveStatus.INFEASIBLE
-                message = divergence.value
-                break
-
-            if trace:
-                records.append(
-                    IterationRecord(
-                        index=iteration,
-                        mu=mu,
-                        duality_gap=duality_gap(x, y, w, z),
-                        primal_infeasibility=p_inf,
-                        dual_infeasibility=d_inf,
-                        theta=theta,
-                        cells_written=m2.write_report.cells_written,
-                    )
-                )
-
-        if status is SolveStatus.ITERATION_LIMIT and not message:
-            x, y, w, z = best_state
-            if problem.satisfies_relaxed_constraints(
-                x,
-                settings.alpha,
-                problem.variation_row_tolerance(
-                    x, settings.variation.relative_magnitude
-                ),
-            ):
-                status = SolveStatus.OPTIMAL
-                message = (
-                    "iteration limit; accepted best feasible iterate"
-                )
-            else:
-                message = "iteration limit without a feasible iterate"
-                reason = FailureReason.NO_FEASIBLE_ITERATE
-
-        if status is SolveStatus.OPTIMAL and not (
-            problem.satisfies_relaxed_constraints(
-                x,
-                settings.alpha,
-                problem.variation_row_tolerance(
-                    x, settings.variation.relative_magnitude
-                ),
-            )
-        ):
-            status = SolveStatus.NUMERICAL_FAILURE
-            message = "final constraint check A x <= alpha b failed"
-            reason = FailureReason.FINAL_CHECK_FAILED
-
-        if status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
-            reason = FailureReason.NONE
-
-        tracer.gauge("solver.iterations", iterations)
-        total_writes = (
-            m1_solve.write_report
-            + m1_mult.write_report
-            + m2.write_report
-            + d_array.write_report
-        )
-        if base_writes is not None:
-            total_writes = total_writes - base_writes
-        counters = CrossbarCounters(
-            multiplies=multiplies,
-            solves=solves,
-            cells_written=total_writes.cells_written,
-            write_pulses=total_writes.pulses,
-            write_latency_s=total_writes.latency_s,
-            write_energy_j=total_writes.energy_j,
-            array_size=max(system.size_m1, system.size_m2),
-            verify_reads=total_writes.verify_reads,
-            verify_repulsed=total_writes.repulsed_cells,
-            verify_unverified=total_writes.unverified_cells,
-        )
-        result = SolverResult(
-            status=status,
-            x=x,
-            y=y,
-            w=w,
-            z=z,
-            objective=problem.objective(x),
-            iterations=iterations,
-            trace=tuple(records),
-            crossbar=counters,
-            message=message,
-            failure_reason=reason,
+                state.probe_rejected(probe, f"array {probe.label!r}")
+        split = _SplitArrays(system, settings, arrays, base_writes, tracer)
+        result = run_attempt(
+            state, split, tracer=tracer, deadline=self.deadline, trace=trace
         )
         return result, probe
+
+
+def _total_writes(arrays):
+    m1_solve, m1_mult, m2, d_array = arrays
+    return (
+        m1_solve.write_report
+        + m1_mult.write_report
+        + m2.write_report
+        + d_array.write_report
+    )
+
+
+def _write_diagonal(system, operator, values) -> None:
+    rows, cols, vals = system.diag_update(values)
+    operator.update_coefficients(rows, cols, vals, floor_to_representable=True)
+
+
+class _SplitArrays:
+    """Solver 2's arrays adapter (see :mod:`repro.core.attempt`): the
+    Newton step split across the M1 solve, M1 multiply, M2 and D
+    arrays."""
+
+    def __init__(self, system, settings, arrays, base_writes, tracer) -> None:
+        self.system = system
+        self.settings = settings
+        self.arrays = arrays
+        self.m1_solve, self.m1_mult, self.m2, self.d_array = arrays
+        self.base_writes = base_writes
+        self.tracer = tracer
+        self.size = max(system.size_m1, system.size_m2)
+
+    def update(self, state: AttemptState) -> None:
+        system, tracer = self.system, self.tracer
+        x, y, w, z = state.iterate
+        with tracer.span("newton_assembly"):
+            rows, cols, values = system.m1_coupling_update(x, y, w, z)
+            m2_diag = system.m2_diagonal(x, y)
+            d_diag = system.d_diagonal(z, w)
+        with tracer.span("program", array="m1_solve"):
+            self.m1_solve.update_coefficients(
+                rows, cols, values, floor_to_representable=True
+            )
+        with tracer.span("program", array="m2"):
+            _write_diagonal(system, self.m2, m2_diag)
+        with tracer.span("program", array="d"):
+            _write_diagonal(system, self.d_array, d_diag)
+
+    def residual(self, state: AttemptState, mu: float) -> tuple:
+        # Residuals via the constant multiply array (Eqn. 17a).
+        system = self.system
+        m, n = system.m, system.n
+        product = self.m1_mult.multiply(system.state_vector_m1(state.x, state.y))
+        state.multiplies += 1
+        p_inf, d_inf = system.infeasibility_norms(product, state.w, state.z)
+        return (
+            product,
+            p_inf,
+            d_inf,
+            float(np.max(np.abs(product[:m]), initial=0.0)),
+            float(np.max(np.abs(product[m:m + n]), initial=0.0)),
+        )
+
+    def direction(self, state: AttemptState, product, mu: float) -> tuple:
+        system = self.system
+        x, y, w, z = state.iterate
+        # First half: Δx, Δy from M1.
+        if self.settings.rhs_mode == "exact":
+            # The controller holds x, y digitally (it programs the M2
+            # diagonal from them every iteration), so the central-path
+            # targets mu/x, mu/y are O(N) digital scalar ops, like the
+            # summing-amplifier subtraction.
+            r1 = system.residual_m1(product, mu / x, mu / y)
+        else:
+            r1 = system.paper_residual_m1(product, w, z)
+        delta1 = self.m1_solve.solve(r1)
+        state.solves += 1
+        dx, dy = system.extract_steps_m1(delta1)
+
+        # Second half: Δz, Δw from M2 (recovery).
+        product2 = self.m2.multiply(np.concatenate([z, w]))
+        state.multiplies += 1
+        if self.settings.recovery == "coupled":
+            coupling = self.d_array.multiply(np.concatenate([dx, dy]))
+            state.multiplies += 1
+        else:
+            coupling = None
+        delta2 = self.m2.solve(system.residual_m2(mu, product2, coupling))
+        state.solves += 1
+        dz, dw = system.extract_steps_m2(delta2)
+        return dx, dy, dw, dz
+
+    def step_length(self, state: AttemptState, steps) -> float:
+        # Section 3.4's constant θ, by default capped by the Eqn. 11
+        # ratio test so a step never crosses the positivity boundary.
+        theta = self.settings.constant_theta
+        if self.settings.step_policy == "capped_ratio":
+            theta = min(theta, state.ratio_test(steps))
+        return theta
+
+    def trace_cells(self) -> int:
+        return self.m2.write_report.cells_written
+
+    def writes(self):
+        total = _total_writes(self.arrays)
+        if self.base_writes is not None:
+            total = total - self.base_writes
+        return total
 
 
 def solve_crossbar_large_scale(

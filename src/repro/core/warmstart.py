@@ -82,10 +82,11 @@ def validated_state(
     n: int,
     settings: CrossbarSolverSettings,
 ):
-    """Coerce a caller-supplied ``(x, y, w, z)`` state for ``_solve_once``.
+    """Coerce a caller-supplied ``(x, y, w, z)`` state for one attempt.
 
-    Both crossbar solvers call this at the top of an attempt: the
-    state is copied, shape- and finiteness-checked against the problem
+    :class:`~repro.core.attempt.AttemptState` calls this at the top of
+    every warm-started attempt of both crossbar solvers: the state is
+    copied, shape- and finiteness-checked against the problem
     dimensions, and clamped at ``settings.positivity_floor`` (the same
     floor the PDIP loop enforces between iterations).  Raises
     :class:`ValueError` on any mismatch.
