@@ -4,7 +4,8 @@ The batched crossbar stack (:mod:`repro.crossbar.stack`) dispatches
 its two hot tensor primitives — the transposed batched matvec and the
 transposed batched solve — through a :class:`~repro.backend.base.Backend`.
 Everything else (column sums, variation draws, write planning) stays
-in numpy for bitwise reproducibility against the serial path.
+in numpy for bitwise member-by-member reproducibility; the serial
+crossbar classes are one-member stacks pinned to numpy.
 
 Selection order for :func:`get_backend`:
 

@@ -7,19 +7,21 @@ over a whole ``(K, n, m)`` stack of same-shape crossbars in one call.
 
 The contract is deliberately tiny — everything else in the engine
 (column-sum caches, variation draws, write planning) stays in numpy on
-the host, because those paths must be *bitwise* reproducible against
-the serial :class:`~repro.crossbar.array.CrossbarArray` and are cheap
-compared to the O(K·n·m) / O(K·n³) primitives below.
+the host, because those paths must be *bitwise* reproducible member
+by member and are cheap compared to the O(K·n·m) / O(K·n³)
+primitives below.
 
 Determinism rules:
 
-- the **numpy** backend must be bitwise-identical to the serial path.
-  Concretely: ``matvec_t`` evaluates ``np.matmul`` on the *transposed
-  view* of the stack (a contiguous copy changes NumPy's pairwise-
-  summation blocking and drifts by 1 ULP), and ``solve_t`` passes the
-  right-hand sides as a ``(K, n, 1)`` column stack so the gufunc runs
-  the same LAPACK ``gesv`` per slice as ``np.linalg.solve`` does for a
-  single matrix;
+- the **numpy** backend must give each member bitwise the result it
+  gets as a one-member stack (the serial
+  :class:`~repro.crossbar.array.CrossbarArray` is one, pinned to this
+  backend).  Concretely: ``matvec_t`` evaluates ``np.matmul`` on the
+  *transposed view* of the stack (a contiguous copy changes NumPy's
+  pairwise-summation blocking and drifts by 1 ULP), and ``solve_t``
+  passes the right-hand sides as a ``(K, n, 1)`` column stack so the
+  gufunc runs the same LAPACK ``gesv`` per slice as ``np.linalg.solve``
+  does for a single matrix;
 - accelerator backends (torch) are *tolerance*-equal: property tests
   gate them at 1e-10 relative against numpy on well-conditioned
   stacks.

@@ -1,8 +1,9 @@
-"""Default numpy backend: bitwise-identical to the serial path.
+"""Default numpy backend: each member bitwise as a one-member stack.
 
-The two kernels are the exact expressions the property suite pins
-against member-by-member evaluation
-(``tests/property/test_batched_engine.py``):
+Serial arrays and operators are one-member stacks pinned to this
+backend.  The two kernels are the exact expressions the property suite
+pins against member-by-member evaluation
+(``tests/property/test_backend_equivalence.py``):
 
 - ``matvec_t`` calls ``np.matmul`` on the transposed *view* of the
   stack.  NumPy's pairwise summation blocks by memory layout, so a
@@ -27,11 +28,11 @@ class NumpyBackend(Backend):
     name = "numpy"
 
     def matvec_t(self, stack: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``out[k] = stack[k].T @ v[k]``, bitwise == the serial loop."""
+        """``out[k] = stack[k].T @ v[k]``, bitwise == a per-member loop."""
         return np.matmul(stack.transpose(0, 2, 1), v[:, :, None])[:, :, 0]
 
     def solve_t(self, stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """``solve(stack[k].T, rhs[k])``, bitwise == the serial loop."""
+        """``solve(stack[k].T, rhs[k])``, bitwise == a per-member loop."""
         return np.linalg.solve(
             stack.transpose(0, 2, 1), rhs[:, :, None]
         )[:, :, 0]

@@ -28,9 +28,10 @@ Reproducibility is the design constraint, not a best effort:
   divergence and the final ``A x <= alpha b`` check are classified by
   the same code — only the analog tensor ops are batched.
 
-Workloads that need the serial path fall back transparently: row
-scaling, health probes and per-iteration tracing run the plain solver
-per problem, and so does a structural singleton (a group of one).
+Workloads that need the serial path fall back transparently: health
+probes and per-iteration tracing run the plain solver per problem, and
+so does a structural singleton (a group of one).  Row-scaled policies
+iterate in lockstep like global ones: row scales live on the stack.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ def _lockstep_attempt(
         dac_bits=settings.dac_bits,
         adc_bits=settings.adc_bits,
         scale_headroom=settings.scale_headroom,
+        row_scaling=settings.row_scaling,
         off_state=settings.off_state,
         write_verify=settings.write_verify,
         backend=backend,
@@ -220,10 +222,7 @@ def solve_crossbar_batch(
         return solver.solve(trace=trace)
 
     results: list[SolverResult | None] = [None] * len(problems)
-    batchable = not (
-        trace or settings.row_scaling or recovery.probe is not None
-    )
-    if not batchable:
+    if trace or recovery.probe is not None:
         return [serial(index) for index in range(len(problems))]
 
     systems = [AugmentedNewtonSystem(problem) for problem in problems]

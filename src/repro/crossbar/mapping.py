@@ -103,7 +103,7 @@ def map_cells(
     The O(#cells) counterpart of :func:`map_matrix`: applies the same
     ``target = scale * value`` mapping and ``g_off`` floor handling to
     an arbitrary cell subset, so a differential update (see
-    :func:`~repro.crossbar.array.write_cells`) never touches the full
+    :func:`~repro.crossbar.stack.write_cells`) never touches the full
     grid.  ``scale`` may be a scalar (global mapping) or an array
     broadcastable against ``values`` (per-row mapping, caller
     pre-gathers the row scales).

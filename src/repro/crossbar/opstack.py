@@ -1,25 +1,51 @@
-"""A batched fleet of analog matrix operators in problem units.
+"""High-level analog matrix operations in problem units, fleet-wide.
 
-:class:`AnalogOperatorStack` is the fleet counterpart of
-:class:`~repro.crossbar.ops.AnalogMatrixOperator`: K same-shape
-coefficient matrices realized on one :class:`~repro.crossbar.stack.
-CrossbarStack`, with the encode → analog primitive → decode pipeline
-evaluated for every member in single batched tensor ops.  The sweep
-engine's trial fan-out and the reliability layer's fleet probes use it
-to replace K python-level operator round-trips per iteration with one.
+:class:`AnalogOperatorStack` wraps K same-shape non-negative
+coefficient matrices ``A_k`` realized on one
+:class:`~repro.crossbar.stack.CrossbarStack`, and exposes the two
+primitives the PDIP solvers use, evaluated for every member in single
+batched tensor ops:
 
-Only the paper's **global** fast mapping is supported (one scale per
-member); row scaling keeps per-bit-line scale hysteresis state whose
-update pattern is inherently data-dependent per member — those runs
-stay on the serial operator (the constructor rejects ``row_scaling``).
+- ``multiply(x)``  — returns ``y_k ≈ A_k x_k``      (Eqn. 5 read-out)
+- ``try_solve(b)`` — returns ``x_k ≈ A_k^{-1} b_k`` (current-balance mode)
 
-Parity contract (gated by ``tests/property``): with the numpy backend
-and ``"entry"`` quantization, every member's ``multiply``/``solve``/
-``update_coefficients``/``renormalize`` results — and its write
-counters and RNG stream — are bitwise what a serial operator with the
-same settings and generator produces.  ``"vector"`` quantization
-needs per-member converter references, so those vectors quantize in a
-short member loop around the same batched analog core.
+It is the only implementation of the encode → analog primitive →
+decode pipeline: :class:`~repro.crossbar.ops.AnalogMatrixOperator` is
+a one-member view of a stack pinned to the numpy backend.  All
+encoding details live here: the proportional conductance mapping,
+input-voltage scaling into the sub-threshold read window, 8-bit
+DAC/ADC quantization of every vector crossing the analog boundary,
+and decoding back into problem units with the *nominal* scale factors
+(the digital controller only knows what it programmed — deviation of
+the actual conductances is exactly the process-variation error the
+paper studies).
+
+Two mapping policies are supported:
+
+- **global** (default; the paper's fast mapping from Hu et al. [8]):
+  one scale ``s = g_on / (headroom * a_max)`` per member.
+- **row-scaled** (``row_scaling=True``): each *output row* (bit-line)
+  carries its own scale.  Physically this is row equilibration done in
+  hardware — in solve mode a bit-line holds one equation, and scaling
+  its conductances together with the voltage forced on its sense node
+  leaves the solution unchanged; in multiply mode the per-column
+  output decodes with its own scale.  Row scales follow the row maxima
+  with hysteresis, so a rescale (a full-row rewrite) only happens when
+  a row's magnitude drifts far from its window; routine updates remain
+  O(cells changed).
+
+Coefficient updates (the O(N) per-iteration rewrites of the X, Y, Z, W
+blocks) run per member on 2-D views (:meth:`update_member`); a
+multi-member global update keeps one vectorized pass
+(:meth:`update_coefficients`).
+
+Parity contract (gated by ``tests/property``): with the numpy backend,
+member ``k``'s ``multiply``/``try_solve``/``update_coefficients``/
+``renormalize`` results — and its write counters and RNG stream — are
+bitwise what a one-member stack with the same settings and generator
+produces.  ``"vector"`` quantization needs per-member converter
+references, so those vectors quantize in a short member loop around
+the same batched analog core.
 """
 
 from __future__ import annotations
@@ -34,8 +60,14 @@ from repro.crossbar.stack import CrossbarStack
 from repro.devices.models import HP_TIO2, DeviceParameters
 from repro.devices.variation import NoVariation, VariationModel
 from repro.exceptions import CrossbarSolveError, MappingError
-from repro.obs.tracer import NOOP, Tracer
+from repro.obs.tracer import Tracer
 from repro.reliability.verify import WriteVerifyPolicy
+
+#: A row is rescaled when its peak conductance target would exceed
+#: ``g_on`` (overflow) or fall below ``g_on / (headroom * HYSTERESIS)``
+#: (precision loss).  Between those bounds the old scale is kept, so
+#: per-iteration updates rarely trigger full-row rewrites.
+ROW_SCALE_HYSTERESIS = 8.0
 
 
 def _quantize_rows(
@@ -62,17 +94,49 @@ class AnalogOperatorStack:
     matrices:
         Non-negative coefficient matrices, shape ``(K, n_out, n_in)``
         (or a list of K equal-shape 2-D arrays).
+    params:
+        Memristor device preset.
+    variation:
+        Process-variation model (default: ideal hardware).
     rngs:
         One variation generator per member; member ``k`` consumes
-        exactly the draws a serial operator seeded with ``rngs[k]``
+        exactly the draws a one-member stack seeded with ``rngs[k]``
         would.
+    dac_bits, adc_bits:
+        Converter resolutions; the paper uses 8 bits for all voltage
+        I/O.  ``None`` disables quantization on that side (ablations).
+    quantization:
+        ``"entry"`` (default) — per-entry relative precision (8-bit
+        mantissa, a per-channel converter gain); ``"vector"`` — one
+        programmable-gain converter per vector, uniform grid relative
+        to the vector peak.  See
+        :func:`repro.crossbar.quantization.quantize_auto`.
+    scale_headroom:
+        Scales are chosen ``headroom`` below the top of the device
+        window so coefficients may grow by this factor during
+        iterative updates before a remap is needed.  Must be >= 1.
+    row_scaling:
+        Use the row-equilibrated mapping instead of one global scale.
+    off_state:
+        ``"zero"`` (1T1R, default) or ``"leak"`` (passive array) —
+        what happens to coefficients too small to represent.
+    compensate_leak:
+        In ``"leak"`` mode, digitally subtract the known floor-current
+        contribution from multiply read-outs (dummy-row compensation).
+        Ignored in ``"zero"`` mode.
+    g_sense:
+        Sense-resistor conductance; defaults to the device ``g_on``.
+    write_verify:
+        Closed-loop programming policy forwarded to the
+        :class:`~repro.crossbar.stack.CrossbarStack`; ``None`` keeps
+        open-loop programming.
+    tracer:
+        Observability hook (:mod:`repro.obs`), shared with the stack:
+        analog multiplies and solves are wrapped in ``op.multiply`` /
+        ``op.solve`` spans and bump the ``analog.*`` counters, writes
+        bump ``crossbar.*``.  Defaults to the no-op tracer.
     backend:
         Forwarded to the :class:`~repro.crossbar.stack.CrossbarStack`.
-    params, variation, dac_bits, adc_bits, quantization,
-    scale_headroom, off_state, compensate_leak, g_sense, write_verify,
-    tracer:
-        As for :class:`~repro.crossbar.ops.AnalogMatrixOperator`,
-        shared by every member.
     """
 
     def __init__(
@@ -94,24 +158,18 @@ class AnalogOperatorStack:
         tracer: Tracer | None = None,
         backend: Backend | str | None = None,
     ) -> None:
-        if row_scaling:
-            raise MappingError(
-                "AnalogOperatorStack supports the global mapping only; "
-                "row-scaled operators keep per-row hysteresis state and "
-                "stay on the serial AnalogMatrixOperator"
-            )
         matrices = np.asarray(matrices, dtype=float)
         if matrices.ndim != 3:
             raise MappingError(
                 "expected a (K, n_out, n_in) stack of coefficient matrices"
             )
         if matrices.size == 0:
-            raise MappingError("cannot wrap an empty matrix stack")
+            raise MappingError("cannot wrap an empty matrix")
         if not np.all(np.isfinite(matrices)):
-            raise MappingError("matrices contain non-finite entries")
+            raise MappingError("matrix contains non-finite entries")
         if np.any(matrices < 0):
             raise MappingError(
-                "matrices contain negative coefficients; memristance is "
+                "matrix contains negative coefficients; memristance is "
                 "non-negative — eliminate negatives first (Eqn. 13)"
             )
         if scale_headroom < 1.0:
@@ -126,9 +184,9 @@ class AnalogOperatorStack:
         self.adc_bits = adc_bits
         self.quantization = quantization
         self.scale_headroom = float(scale_headroom)
+        self.row_scaling = bool(row_scaling)
         self.off_state = off_state
         self.compensate_leak = bool(compensate_leak)
-        self.tracer = tracer if tracer is not None else NOOP
 
         self.n_members, self.n_out, self.n_in = matrices.shape
         self._coefficients = matrices.copy()
@@ -141,56 +199,109 @@ class AnalogOperatorStack:
             g_sense=g_sense,
             rngs=rngs,
             write_verify=write_verify,
-            tracer=self.tracer,
+            tracer=tracer,
             backend=backend,
         )
-        self._scales = self._fresh_scales(np.arange(self.n_members))
+        self._rows = np.arange(self.n_out)
+        # Per-row coefficient-to-conductance scales (a global mapping
+        # holds n_out equal entries), plus what the solve decode needs
+        # from them, refreshed only when scales move.
+        self._scales = np.empty((self.n_members, self.n_out))
+        self._solve_ref = np.empty(self.n_members)
+        self._solve_gain = (
+            np.empty((self.n_members, self.n_out)) if self.row_scaling else None
+        )
         self._floored = np.zeros(
             (self.n_members, self.n_in, self.n_out), dtype=bool
         )
-        self._full_reprograms = np.zeros(self.n_members, dtype=int)
-        self._program_rows(np.arange(self.n_out), np.arange(self.n_members))
-        self._full_reprograms[:] = 1
+        self._full_reprograms = np.ones(self.n_members, dtype=int)
+        for member in range(self.n_members):
+            self._scales[member] = self._fresh_scales(member)
+            self._scales_moved(member)
+            self._program_rows(member, self._rows)
+
+    @property
+    def tracer(self) -> Tracer:
+        """The tracer shared with the crossbar stack."""
+        return self.stack.tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Tracer) -> None:
+        self.stack.tracer = tracer
 
     # -- scale management -------------------------------------------------
 
-    def _fresh_scales(self, members: np.ndarray) -> np.ndarray:
-        """Per-member no-hysteresis global scales, ``(len(members),)``."""
-        a_max = self._coefficients[members].max(axis=(1, 2), initial=0.0)
-        a_max = np.where(a_max > 0.0, a_max, 1.0)
-        return self.params.g_on / (a_max * self.scale_headroom)
+    def _fresh_scales(self, member: int) -> np.ndarray:
+        """Scales implied by a member's coefficients, no hysteresis."""
+        coefficients = self._coefficients[member]
+        g_on = self.params.g_on
+        if self.row_scaling:
+            row_max = coefficients.max(axis=1, initial=0.0)
+            safe = np.maximum(row_max, 1e-300)
+            return np.where(
+                row_max > 0, g_on / (safe * self.scale_headroom), g_on
+            )
+        a_max = float(coefficients.max(initial=0.0))
+        if a_max <= 0.0:
+            a_max = 1.0
+        return np.full(self.n_out, g_on / (a_max * self.scale_headroom))
 
-    def _program_rows(
-        self, rows: np.ndarray, members: np.ndarray
-    ) -> list[WriteReport | None]:
-        """(Re)program all cells of the given coefficient rows.
+    def _scales_moved(self, member: int) -> None:
+        """Refresh a member's solve reference and per-row gain.
 
-        The serial operator's block diff, fleet-wide: the rows'
-        targets form a ``(len(members), n_in, len(rows))`` block (the
-        global map is elementwise, so one batched :func:`map_cells`
-        matches the serial per-member call bitwise), one ``!=``
-        against the programmed block finds the cells that move on any
-        member, in ``n_in``-major order, and only those reach the
-        stack, which drops each member's unmoved cells.  The floored
-        masks of the selected members are updated on the way.
+        The solve decode divides by the largest scale; with row
+        scaling each bit-line's forced voltage is pre-scaled by its
+        row's scale relative to it.  Both change only when the scales
+        do (remap / rescale / renormalize), not per solve.
+        """
+        scales = self._scales[member]
+        self._solve_ref[member] = scales.max()
+        if self._solve_gain is not None:
+            self._solve_gain[member] = scales / self._solve_ref[member]
+
+    def _program_rows(self, member: int, rows: np.ndarray) -> WriteReport:
+        """(Re)program all cells of a member's given coefficient rows.
+
+        ``rows`` are sorted and unique.  The rows' targets form one
+        ``(len(rows), n_in)`` block; a single 2-D ``!=`` against the
+        programmed block plus ``nonzero`` finds the cells that move,
+        listed in the grid's ``n_in``-major order, and only those reach
+        the stack.  Unchanged cells (the structural zeros of a sparse
+        system, or rows rescaled back to the scale they already hold)
+        cost nothing, so a "full" reprogram is O(cells that move) in
+        writes and one block pass on the host.
         """
         block, floored = map_cells(
-            self._coefficients[members][:, rows, :],
-            self._scales[members, None, None],
+            self._coefficients[member][rows, :],
+            self._scales[member][rows, None],
             self.params,
             off_state=self.off_state,
         )
-        block_index = np.ix_(members, np.arange(self.n_in), rows)
-        self._floored[block_index] = floored.transpose(0, 2, 1)
-        targets = block.transpose(0, 2, 1)
-        moved = targets != self.stack._nominal[block_index]
-        cells_in, cells_row = np.nonzero(moved.any(axis=0))
-        return self.stack.program_cells(
-            cells_in,
-            rows[cells_row],
-            targets[:, cells_in, cells_row],
-            skip_unchanged=True,
-            members=members,
+        self._floored[member][:, rows] = floored.T
+        # Crossbar cell (i, j) carries A[j, i]: compare in coefficient
+        # orientation, where both blocks are contiguous, and walk the
+        # transposed mask so the cells come out n_in-major.
+        moved = block != self.stack._nominal[member].T[rows]
+        cells_in, cells_row = moved.T.nonzero()
+        return self.stack.program_member_cells(
+            member, cells_in, rows[cells_row], block[cells_row, cells_in]
+        )
+
+    def _program_cells(
+        self, member: int, rows: np.ndarray, cols: np.ndarray,
+        values: np.ndarray,
+    ) -> WriteReport:
+        """Rewrite scattered coefficients at their rows' current scales."""
+        targets, floored = map_cells(
+            values,
+            self._scales[member][rows],
+            self.params,
+            off_state=self.off_state,
+        )
+        # Crossbar cell (i, j) carries coefficient A[j, i].
+        self._floored[member][cols, rows] = floored
+        return self.stack.program_member_cells(
+            member, cols, rows, targets, skip_unchanged=True
         )
 
     # -- public accessors --------------------------------------------------
@@ -202,13 +313,18 @@ class AnalogOperatorStack:
 
     @property
     def scales(self) -> np.ndarray:
-        """Per-member global coefficient-to-conductance scales; copy."""
+        """Per-row coefficient-to-conductance scales ``(K, n_out)``; copy."""
         return self._scales.copy()
 
     @property
     def min_coefficients(self) -> np.ndarray:
-        """Per-member representable-coefficient floors, ``(K,)``."""
-        return self.params.g_off / self._scales
+        """Per-member representable-coefficient floors, ``(K,)``.
+
+        Coefficients below ``g_off / scale`` truncate to the off
+        state.  Solvers that need an entry to stay nonzero clamp their
+        updates to this floor (conservatively, the worst row's floor).
+        """
+        return (self.params.g_off / self._scales).max(axis=1)
 
     @property
     def full_reprograms(self) -> np.ndarray:
@@ -222,6 +338,99 @@ class AnalogOperatorStack:
 
     # -- coefficient updates -----------------------------------------------
 
+    def update_member(
+        self,
+        member: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        *,
+        floor_to_representable: bool = False,
+    ) -> WriteReport:
+        """Rewrite one member's coefficients ``A[rows, cols] = values``.
+
+        Only the affected crossbar cells are reprogrammed — the O(N)
+        iteration-update primitive of Section 3.5.  Values outgrowing
+        the programmed window trigger a remap: the global mapping
+        reprograms the whole array with a new scale; the row mapping
+        rescales only the rows whose maxima left their hysteresis
+        window.  ``floor_to_representable`` clamps each value *up* to
+        the smallest coefficient its row can represent instead of
+        letting it truncate to the off state (solvers use it for
+        diagonal cells whose vanishing would make the programmed
+        system singular); the clamp uses the scales in effect after
+        any remap this update triggers.
+        """
+        rows = np.asarray(rows, dtype=int)
+        cols = np.asarray(cols, dtype=int)
+        values = np.asarray(values, dtype=float)
+        if not (rows.shape == cols.shape == values.shape):
+            raise ValueError("rows, cols, values must have matching shapes")
+        if values.size == 0:
+            return WriteReport(0, 0, 0.0, 0.0)
+        if values.min() < 0:
+            raise MappingError("coefficients must be non-negative")
+        return self._update(
+            member, rows, cols, values, floor_to_representable
+        )
+
+    def _update(
+        self,
+        member: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        floor_to_representable: bool,
+    ) -> WriteReport:
+        g_on = self.params.g_on
+        coefficients = self._coefficients[member]
+        scales = self._scales[member]
+        coefficients[rows, cols] = values
+        if self.row_scaling:
+            if (rows[1:] > rows[:-1]).all():
+                affected = rows  # already sorted and unique
+            else:
+                touched = np.zeros(self.n_out, dtype=bool)
+                touched[rows] = True
+                affected = np.flatnonzero(touched)
+            row_max = coefficients[affected, :].max(axis=1, initial=0.0)
+            peak_target = row_max * scales[affected]
+            rescale = (peak_target > g_on) | (
+                (row_max > 0)
+                & (
+                    peak_target
+                    < g_on / (self.scale_headroom * ROW_SCALE_HYSTERESIS)
+                )
+            )
+            remap = affected[rescale]
+            if remap.size:
+                safe = np.maximum(row_max[rescale], 1e-300)
+                scales[remap] = g_on / (safe * self.scale_headroom)
+        elif values.max() * scales[0] > g_on:
+            a_max = max(float(coefficients.max()), 1e-300)
+            scales[:] = g_on / (a_max * self.scale_headroom)
+            remap = self._rows
+            self._full_reprograms[member] += 1
+        else:
+            remap = self._rows[:0]
+        if remap.size:
+            self._scales_moved(member)
+        if floor_to_representable:
+            values = np.maximum(values, self.params.g_off / scales[rows])
+            coefficients[rows, cols] = values
+        if not remap.size:
+            return self._program_cells(member, rows, cols, values)
+        report = self._program_rows(member, remap)
+        if remap.size < self.n_out:
+            rescaled = np.zeros(self.n_out, dtype=bool)
+            rescaled[remap] = True
+            keep = ~rescaled[rows]
+            if keep.any():
+                report = report + self._program_cells(
+                    member, rows[keep], cols[keep], values[keep]
+                )
+        return report
+
     def update_coefficients(
         self,
         rows: np.ndarray,
@@ -233,54 +442,43 @@ class AnalogOperatorStack:
     ) -> list[WriteReport | None]:
         """Rewrite ``A_k[rows, cols] = values[k]`` across the fleet.
 
-        The batched form of the O(N) iteration-update primitive:
-        ``rows``/``cols`` are shared; ``values`` is ``(c,)`` (same
-        update everywhere), ``(K, c)``, or ``(len(members), c)``.
-        Members whose new values outgrow the programmed window remap
-        individually (new scale, full differential reprogram), exactly
-        like the serial operator; the rest share one batched cell
-        write.
+        The batched form of :meth:`update_member`: ``rows``/``cols``
+        are shared; ``values`` is ``(c,)`` (same update everywhere),
+        ``(K, c)``, or ``(len(members), c)``.  Row-scaled stacks and
+        single-member selections update member by member; a
+        multi-member global update runs as one vectorized pass in
+        which members whose new values outgrow the programmed window
+        remap individually and the rest share one batched cell write.
 
         Returns a K-long report list (``None`` for unselected members).
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
-        values = np.asarray(values, dtype=float)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise ValueError("rows and cols must be matching 1-D arrays")
-        selected = self.stack._member_indices(members)
-        if values.ndim == 1:
-            if values.shape != rows.shape:
-                raise ValueError("rows, cols, values must have matching shapes")
-            values = np.broadcast_to(
-                values, (selected.size, rows.size)
-            ).copy()
-        elif values.shape == (self.n_members, rows.size):
-            values = values[selected].copy()
-        elif values.shape == (selected.size, rows.size):
-            values = values.copy()
-        else:
-            raise ValueError(
-                f"values must be ({rows.size},), "
-                f"({self.n_members}, {rows.size}) or "
-                f"({selected.size}, {rows.size}), got {values.shape}"
-            )
+        selected, values = self.stack._select(values, rows.size, members)
+        if selected is None:
+            selected = np.arange(self.n_members)
+        results: list[WriteReport | None] = [None] * self.n_members
         if values.size == 0:
-            return self.stack.program_cells(
-                np.empty(0, dtype=int),
-                np.empty(0, dtype=int),
-                np.empty(0),
-                members=selected,
-            )
+            for member in selected:
+                results[member] = WriteReport(0, 0, 0.0, 0.0)
+            return results
         if values.min() < 0:
             raise MappingError("coefficients must be non-negative")
+        if self.row_scaling or selected.size == 1:
+            for pos, member in enumerate(selected):
+                results[member] = self._update(
+                    int(member), rows, cols, values[pos],
+                    floor_to_representable,
+                )
+            return results
 
-        self._coefficients[
-            selected[:, None], rows[None, :], cols[None, :]
-        ] = values
-
-        scale = self._scales[selected]
+        cells = (selected[:, None], rows[None, :], cols[None, :])
+        self._coefficients[cells] = values
+        scale = self._scales[selected, 0]
         needs_remap = values.max(axis=1) * scale > self.params.g_on
+        scale_after = scale
         if needs_remap.any():
             a_max = np.maximum(
                 self._coefficients[selected].max(axis=(1, 2)), 1e-300
@@ -290,26 +488,17 @@ class AnalogOperatorStack:
                 self.params.g_on / (a_max * self.scale_headroom),
                 scale,
             )
-        else:
-            scale_after = scale
         if floor_to_representable:
             values = np.maximum(
                 values, self.params.g_off / scale_after[:, None]
             )
-            self._coefficients[
-                selected[:, None], rows[None, :], cols[None, :]
-            ] = values
-
-        results: list[WriteReport | None] = [None] * self.n_members
-        remap_members = selected[needs_remap]
-        if remap_members.size:
-            self._scales[remap_members] = scale_after[needs_remap]
-            reports = self._program_rows(
-                np.arange(self.n_out), remap_members
-            )
-            self._full_reprograms[remap_members] += 1
-            for member in remap_members:
-                results[member] = reports[member]
+            self._coefficients[cells] = values
+        for pos in np.flatnonzero(needs_remap):
+            member = int(selected[pos])
+            self._scales[member] = scale_after[pos]
+            self._scales_moved(member)
+            results[member] = self._program_rows(member, self._rows)
+            self._full_reprograms[member] += 1
         keep = ~needs_remap
         if keep.any():
             keep_members = selected[keep]
@@ -331,32 +520,49 @@ class AnalogOperatorStack:
         return results
 
     def renormalize(self, members=None) -> list[WriteReport | None]:
-        """Restore no-hysteresis scales; reprogram only moved members."""
-        selected = self.stack._member_indices(members)
-        fresh = self._fresh_scales(selected)
-        moved = ~np.isclose(fresh, self._scales[selected], rtol=1e-12, atol=0.0)
+        """Restore the no-hysteresis scales for the current coefficients.
+
+        Scale management is deliberately sticky: the global mapping
+        only remaps when a value *outgrows* the window, and row scales
+        move only outside their hysteresis band.  A solver that drove
+        its diagonals to large values therefore leaves the array with a
+        shrunken scale — and a proportionally inflated
+        :attr:`min_coefficients` floor — even after the coefficients
+        are rewritten to modest values.  Reusing such an array for a
+        fresh solve degrades convergence.
+
+        For each selected member this recomputes the scales a fresh
+        programming would choose and reprograms exactly the rows whose
+        scale moved; a member with no drift writes nothing.  Returns a
+        K-long report list (``None`` for unselected members).
+        """
         results: list[WriteReport | None] = [None] * self.n_members
-        for member in selected[~moved]:
-            results[member] = WriteReport(0, 0, 0.0, 0.0)
-        moved_members = selected[moved]
-        if moved_members.size:
-            self._scales[moved_members] = fresh[moved]
-            reports = self._program_rows(
-                np.arange(self.n_out), moved_members
-            )
-            self._full_reprograms[moved_members] += 1
-            for member in moved_members:
-                results[member] = reports[member]
+        for member in self.stack._member_indices(members):
+            member = int(member)
+            scales = self._scales[member]
+            fresh = self._fresh_scales(member)
+            moved = ~np.isclose(fresh, scales, rtol=1e-12, atol=0.0)
+            rows = np.nonzero(moved)[0]
+            if rows.size == 0:
+                results[member] = WriteReport(0, 0, 0.0, 0.0)
+                continue
+            scales[rows] = fresh[rows]
+            self._scales_moved(member)
+            results[member] = self._program_rows(member, rows)
+            if rows.size == self.n_out:
+                self._full_reprograms[member] += 1
         return results
 
     def redraw_variation(
         self, rngs: list[np.random.Generator] | None = None, members=None
     ) -> list[WriteReport | None]:
-        """Fleet redraw: fresh variation for every active cell.
+        """Rewrite every active cell, drawing fresh process variation.
 
-        ``rngs`` optionally re-seats the selected members' generators
-        (attempt-seed attribution, as in the serial
-        ``redraw_variation``).
+        The recovery ladder's *reprogram* rung: coefficients, scales
+        and nominal targets are all unchanged — only the physical
+        realization is re-rolled, at O(active cells) cost.  ``rngs``
+        optionally re-seats the selected members' generators so the
+        redraw is attributable to an attempt seed.
         """
         selected = self.stack._member_indices(members)
         if rngs is not None:
@@ -374,52 +580,45 @@ class AnalogOperatorStack:
         """Batched analog products ``y_k ≈ A_k x_k``, one tensor op.
 
         ``x`` is ``(K, n_in)`` or ``(n_in,)`` broadcast; returns
-        ``(K, n_out)``.  Zero/subnormal drives yield zero rows, exactly
-        like the serial operator's early return.  With ``members`` set,
-        ``x`` is ``(len(selected), n_in)`` and only those members'
-        rows are computed (and returned, in index order) — the fleet
-        solver uses this to skip converged stragglers.
+        ``(K, n_out)``.  Zero/subnormal drives yield zero rows.  With
+        ``members`` set, ``x`` is ``(len(selected), n_in)`` and only
+        those members' rows are computed (and returned, in index
+        order) — the fleet solver uses this to skip converged
+        stragglers.
         """
-        selected = self.stack._member_indices(members)
-        full = selected.size == self.n_members
-        x = np.asarray(x, dtype=float)
-        if x.shape == (self.n_in,):
-            x = np.broadcast_to(x, (selected.size, self.n_in))
-        if x.shape != (selected.size, self.n_in):
-            raise ValueError(
-                f"expected ({selected.size}, {self.n_in}) inputs, "
-                f"got {x.shape}"
+        selected, x = self.stack._select(x, self.n_in, members)
+        scales = self._scales if selected is None else self._scales[selected]
+        tracer = self.stack.tracer
+        with tracer.span("op.multiply"):
+            tracer.count("analog.multiplies", float(len(x)))
+            peaks = np.abs(x).max(axis=1)
+            dead = min(peaks.tolist()) < 1e-300
+            if dead:
+                # Zero or subnormal drive: below any representable input
+                # voltage (and the gain s_x would overflow) — read zeros.
+                live = peaks >= 1e-300
+                peaks = np.where(live, peaks, self.params.v_read)
+            s_x = (self.params.v_read / peaks)[:, None]
+            v_in = _quantize_rows(x * s_x, self.dac_bits, self.quantization)
+            v_out = _quantize_rows(
+                self.stack.multiply(v_in, members=selected),
+                self.adc_bits,
+                self.quantization,
             )
-        scales = self._scales if full else self._scales[selected]
-        floored = self._floored if full else self._floored[selected]
-        with self.tracer.span("op.multiply"):
-            self.tracer.count("analog.multiplies", selected.size)
-            peaks = np.max(np.abs(x), axis=1)
-            live = peaks >= 1e-300
-            s_x = np.where(live, self.params.v_read / np.where(live, peaks, 1.0), 1.0)
-            v_in = _quantize_rows(
-                x * s_x[:, None], self.dac_bits, self.quantization
-            )
-            v_in[~live] = 0.0
-            v_out = self.stack.multiply(v_in, members=selected)
-            v_out = _quantize_rows(v_out, self.adc_bits, self.quantization)
-            denominators = self.stack.nominal_denominators(selected)
-            currents = v_out * denominators
-            if (
-                self.off_state == "leak"
-                and self.compensate_leak
-                and floored.any()
-            ):
-                # Dummy-row correction; members with no floored cells
-                # get an exact-zero leak term, so applying it fleet-wide
-                # is bitwise what per-member gating computes.
-                leak = self.params.g_off * np.matmul(
-                    floored.transpose(0, 2, 1).astype(float),
-                    v_in[:, :, None],
-                )[:, :, 0]
-                currents = currents - leak
-            out = currents / (scales[:, None] * s_x[:, None])
-            out[~live] = 0.0
+            currents = v_out * self.stack.nominal_denominators(selected)
+            if self.off_state == "leak" and self.compensate_leak:
+                # Dummy-row correction: the controller knows which cells
+                # sit at the conductance floor and what it drove into
+                # them.  Member by member, as a bool-by-float product.
+                order = range(len(x)) if selected is None else selected
+                for pos, member in enumerate(order):
+                    floored = self._floored[member]
+                    if floored.any():
+                        leak = self.params.g_off * (floored.T @ v_in[pos])
+                        currents[pos] = currents[pos] - leak
+            out = currents / (scales * s_x)
+            if dead:
+                out[~live] = 0.0
             return out
 
     def try_solve(
@@ -429,45 +628,64 @@ class AnalogOperatorStack:
 
         One backend ``linalg.solve`` over the fleet; a singular member
         degrades only itself (its row is zeros and its slot in the
-        error list holds the :class:`CrossbarSolveError`), mirroring
-        serial per-operator failure semantics.  With ``members`` set,
-        ``b`` is ``(len(selected), n_out)`` and the solutions/error
-        list are selected-length, in index order.
+        error list holds the :class:`CrossbarSolveError`).  With row
+        scaling, the voltage forced on each bit-line is pre-scaled by
+        its row's relative scale — physical row equilibration that
+        cancels exactly in the current balance.  Zero/subnormal targets
+        yield zero rows without driving the array.  With ``members``
+        set, ``b`` is ``(len(selected), n_out)`` and the solutions and
+        error list are selected-length, in index order.
         """
-        selected = self.stack._member_indices(members)
-        full = selected.size == self.n_members
-        b = np.asarray(b, dtype=float)
-        if b.shape == (self.n_out,):
-            b = np.broadcast_to(b, (selected.size, self.n_out))
-        if b.shape != (selected.size, self.n_out):
-            raise ValueError(
-                f"expected ({selected.size}, {self.n_out}) targets, "
-                f"got {b.shape}"
-            )
-        scales = self._scales if full else self._scales[selected]
-        with self.tracer.span("op.solve"):
-            peaks = np.max(np.abs(b), axis=1)
-            live = peaks >= 1e-300
-            s_b = np.where(live, self.params.v_read / np.where(live, peaks, 1.0), 1.0)
-            v_out = _quantize_rows(
-                b * s_b[:, None], self.dac_bits, self.quantization
-            )
-            v_out[~live] = 0.0
-            v_in, errors = self.stack.try_solve(v_out, members=selected)
-            v_in = _quantize_rows(v_in, self.adc_bits, self.quantization)
-            solved = sum(
-                1 for index in range(selected.size)
-                if errors[index] is None
-            )
-            self.tracer.count("analog.solves", solved)
-            out = v_in * scales[:, None] / (
-                self.stack.g_sense * s_b[:, None]
-            )
-            out[~live] = 0.0
-            for index, error in enumerate(errors):
-                if error is not None:
-                    out[index] = 0.0
+        selected, b = self.stack._select(b, self.n_out, members)
+        tracer = self.stack.tracer
+        with tracer.span("op.solve"):
+            peaks = np.abs(b).max(axis=1)
+            if min(peaks.tolist()) >= 1e-300:
+                out, errors = self._solve_live(b, peaks, selected)
+            else:
+                live = peaks >= 1e-300
+                out = np.zeros((len(b), self.n_in))
+                errors = [None] * len(b)
+                index = np.flatnonzero(live)
+                if index.size:
+                    order = (
+                        np.arange(self.n_members)
+                        if selected is None
+                        else selected
+                    )
+                    out[index], live_errors = self._solve_live(
+                        b[index], peaks[index], order[index]
+                    )
+                    for pos, error in zip(index, live_errors):
+                        errors[pos] = error
+            # Counted only for solves that succeeded: the solvers'
+            # ``solves`` tally skips attempts that raised.
+            solved = errors.count(None)
+            if solved:
+                tracer.count("analog.solves", float(solved))
             return out, errors
+
+    def _solve_live(
+        self,
+        b: np.ndarray,
+        peaks: np.ndarray,
+        selected: np.ndarray | None,
+    ) -> tuple[np.ndarray, list[CrossbarSolveError | None]]:
+        """Encode, solve and decode rows whose targets are all live."""
+        s_b = (self.params.v_read / peaks)[:, None]
+        v_out = _quantize_rows(b * s_b, self.dac_bits, self.quantization)
+        if self._solve_gain is not None:
+            v_out = v_out * (
+                self._solve_gain if selected is None
+                else self._solve_gain[selected]
+            )
+        v_in, errors = self.stack.try_solve(v_out, members=selected)
+        v_in = _quantize_rows(v_in, self.adc_bits, self.quantization)
+        ref = self._solve_ref if selected is None else self._solve_ref[selected]
+        out = v_in * ref[:, None] / (self.stack.g_sense * s_b)
+        if any(errors):
+            out[[error is not None for error in errors]] = 0.0
+        return out, errors
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Batched solve; raises if *any* member's system is singular."""
@@ -481,5 +699,6 @@ class AnalogOperatorStack:
         return (
             f"AnalogOperatorStack({self.n_members}x{self.n_out}x"
             f"{self.n_in}, device={self.params.name!r}, "
+            f"row_scaling={self.row_scaling}, "
             f"backend={self.stack.backend.name!r})"
         )

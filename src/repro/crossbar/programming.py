@@ -18,7 +18,7 @@ Energy accounting includes the half-select disturbance energy of the
 unselected lines.  Each write pulse charges ``h`` half-selected
 devices, where ``h`` is ``(rows - 1) + (cols - 1)`` of the grid the
 write was *planned* on.  A full program plans the array geometry; a
-differential cell write (``CrossbarArray.program_cells``) plans its k
+differential cell write (``CrossbarStack.program_member_cells``) plans its k
 written cells as one ``(1, k)`` row, so each of its pulses charges
 ``k - 1`` devices.  Modeled write energy therefore depends on how
 writes are grouped into calls: the same cells written in two calls
@@ -213,73 +213,3 @@ def plan_write(
         (n_rows - 1) + (n_cols - 1),
         params,
     )
-
-
-def plan_write_stack(
-    old: np.ndarray | None,
-    new: np.ndarray,
-    params: DeviceParameters,
-    *,
-    tolerance: float = 0.0,
-    half_select_counts: np.ndarray | None = None,
-) -> list[WriteReport]:
-    """Per-member write costs for a ``(K, n_rows, n_cols)`` stack.
-
-    One vectorized pass over the whole stack, returning exactly the
-    reports a loop of :func:`plan_write` over the members would —
-    bitwise: the state/swing arithmetic is elementwise, and the pulse
-    counts are integer-valued floats whose sum is exact in any
-    reduction order.
-
-    Parameters
-    ----------
-    old, new:
-        Conductance stacks of shape ``(K, n_rows, n_cols)``; ``old``
-        may be ``None`` for blank arrays.  Cell-write planning passes
-        ``(K, 1, c)`` row vectors, mirroring the serial path's
-        ``reshape(1, -1)``.
-    params, tolerance:
-        As for :func:`plan_write`.
-    half_select_counts:
-        Per-member count of half-selected devices, shape ``(K,)``.
-        ``None`` uses the geometric ``(n_rows-1) + (n_cols-1)`` of the
-        member grid.  Differential cell writes must pass their own
-        counts: the serial path plans each member's *changed subset*
-        as a ``(1, c_k)`` write, so its half-select factor is
-        ``c_k - 1`` with ``c_k`` varying per member.
-    """
-    new = np.asarray(new, dtype=float)
-    if new.ndim != 3:
-        raise ValueError(
-            f"expected a (K, rows, cols) stack, got shape {new.shape}"
-        )
-    if old is None:
-        old = np.zeros_like(new)
-    else:
-        old = np.asarray(old, dtype=float)
-        if old.shape != new.shape:
-            raise ValueError(
-                f"shape mismatch: old {old.shape} vs new {new.shape}"
-            )
-    pulses, changed = _pulses_per_cell(old, new, params, tolerance)
-    k, n_rows, n_cols = new.shape
-    totals = pulses.reshape(k, -1).sum(axis=1)
-    cells = np.count_nonzero(changed.reshape(k, -1), axis=1)
-    if half_select_counts is None:
-        half_select_counts = np.full(k, (n_rows - 1) + (n_cols - 1))
-    else:
-        half_select_counts = np.asarray(half_select_counts)
-        if half_select_counts.shape != (k,):
-            raise ValueError(
-                f"half_select_counts must have shape ({k},), got "
-                f"{half_select_counts.shape}"
-            )
-    return [
-        _write_cost(
-            int(cells[member]),
-            int(totals[member]),
-            int(half_select_counts[member]),
-            params,
-        )
-        for member in range(k)
-    ]

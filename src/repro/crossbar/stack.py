@@ -1,31 +1,50 @@
-"""A batched fleet of same-shape crossbar arrays as one 3-D tensor.
+"""The analog engine: K same-shape crossbar arrays as one 3-D tensor.
 
 :class:`CrossbarStack` holds K same-shape crossbars as ``(K, n_rows,
 n_cols)`` nominal/actual conductance tensors and evaluates the analog
-primitives over the whole fleet in single batched tensor calls: the
-Eqn. 5 read-out is one batched matmul, the current-balance solve one
-batched ``linalg.solve`` — dispatched through the pluggable backend
-layer (:mod:`repro.backend`; numpy default, optional torch).
+primitives of Section 2.3 over the whole fleet in single batched
+tensor calls: the Eqn. 5 read-out is one batched matmul, the
+current-balance solve one batched ``linalg.solve`` — dispatched
+through the pluggable backend layer (:mod:`repro.backend`; numpy
+default, optional torch).  It is the only crossbar implementation:
+:class:`~repro.crossbar.array.CrossbarArray` is a one-member view of
+a stack pinned to the numpy backend.
 
-Correctness contract (gated by ``tests/property``):
+**Multiplication** (Eqn. 5) — input voltages on the word-lines, output
+voltages sensed across the ``R_s`` resistors on the bit-lines:
 
-- with the numpy backend, every member is **bitwise identical** to a
-  serial :class:`~repro.crossbar.array.CrossbarArray` driven through
-  the same sequence of operations with the same generator — outputs
-  *and* write counters;
+.. math::
+
+   V_{O,j} = \\frac{\\sum_i g_{i,j} V_{I,i}}{g_s + \\sum_k g_{k,j}}
+   \\qquad\\Longleftrightarrow\\qquad
+   V_O = D \\, G^T \\, V_I
+
+**Solving** — output voltages forced on the bit-line sense nodes; the
+current balance :math:`\\sum_i V_{I,i}\\, g_{i,j} = g_s V_{O,j}` on
+every bit-line pins the word-line voltages to the solution of
+:math:`G^T V_I = g_s V_O`.
+
+Both primitives are evaluated with the *actual* conductances — the
+programmed values perturbed by the process-variation model (Eqn. 18),
+freshly drawn at every (re)programming, exactly as the paper notes that
+"process variation differs from each time of writing".
+
+Determinism contract (gated by ``tests/property``):
+
+- with the numpy backend, member ``k`` of a K-member stack is
+  **bitwise identical** to a one-member stack driven through the same
+  operations with the same generator — outputs *and* write counters;
 - variation draws follow the per-member stream rule
   (:meth:`~repro.devices.variation.VariationModel.perturb_stack`):
-  member ``k`` consumes exactly the variates its serial twin would,
-  from its own generator, so cross-member batching never reorders any
+  member ``k`` consumes exactly what a one-member stack seeded with
+  ``rngs[k]`` would, so cross-member batching never reorders any
   member's stream;
-- write costs are planned per member in one vectorized pass
-  (:func:`~repro.crossbar.programming.plan_write_stack`), including
-  the per-member half-select energy factors of differential writes,
-  and each member's cells are written by the serial cell-write kernel
-  (:func:`~repro.crossbar.array.write_cells`) with its own generator;
+- writes are planned and performed per member on 2-D views: each
+  member's moved cells go through the cell-write kernel
+  (:func:`write_cells`) with that member's generator;
 - column-sum denominators use the canonical per-column reduction of
-  :func:`~repro.crossbar.array.canonical_colsums`, so the stack's
-  dirty-column cache refresh matches the serial cache bitwise.
+  :func:`canonical_colsums`, so a dirty-column cache refresh matches a
+  full recompute bitwise.
 """
 
 from __future__ import annotations
@@ -33,17 +52,175 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import Backend, get_backend
-from repro.crossbar.array import (
-    run_write_verify,
-    validate_targets,
-    write_cells,
-)
-from repro.crossbar.programming import WriteReport, plan_write_stack
+from repro.crossbar.programming import WriteReport, plan_write
 from repro.devices.models import HP_TIO2, DeviceParameters
 from repro.devices.variation import NoVariation, VariationModel
 from repro.exceptions import CrossbarSolveError, MappingError
 from repro.obs.tracer import NOOP, Tracer
 from repro.reliability.verify import WriteVerifyPolicy
+
+
+def canonical_colsums(matrix: np.ndarray) -> np.ndarray:
+    """Column sums in the engine's canonical reduction order.
+
+    Each column is reduced as one *contiguous* length-``n_rows``
+    vector (a row of the transposed copy).  NumPy's pairwise summation
+    then blocks per column independently of every other column, which
+    gives the property the plain ``sum(axis=0)`` lacks: recomputing a
+    *subset* of columns yields bitwise the same values as the full
+    reduction.  That is what makes the stack's dirty-column cache
+    refresh exactly reproducible.
+    """
+    return np.ascontiguousarray(matrix.T).sum(axis=1)
+
+
+def run_write_verify(
+    nominal: np.ndarray,
+    actual: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    report: WriteReport,
+    *,
+    policy: WriteVerifyPolicy,
+    params: DeviceParameters,
+    variation: VariationModel,
+    rng: np.random.Generator,
+) -> WriteReport:
+    """Closed-loop write–verify over the cells just written.
+
+    Runs on one member's 2-D grids with that member's generator.
+    Reads back the realized conductances in ``actual``, re-pulses
+    cells whose deviation from the ``nominal`` targets exceeds the
+    policy tolerance (``g_off`` is the reference for off-state
+    targets), and folds the extra pulses/latency/energy plus the
+    verify counters into the returned :class:`WriteReport`.
+    Re-pulsing redraws soft variation but cannot move persistent
+    deviations (see :meth:`VariationModel.reperturb`); cells still out
+    of tolerance when the round budget runs out are counted as
+    ``unverified_cells``.  ``actual`` is updated in place.
+    """
+    targets = nominal[rows, cols]
+    reference = np.maximum(np.abs(targets), params.g_off)
+    reads = 0
+    repulsed = np.zeros(rows.size, dtype=bool)
+    bad = np.zeros(rows.size, dtype=bool)
+    for _ in range(policy.max_rounds):
+        realized = actual[rows, cols]
+        reads += rows.size
+        bad = np.abs(realized - targets) > policy.tolerance * reference
+        if not bad.any():
+            break
+        repulsed |= bad
+        bad_rows = rows[bad]
+        bad_cols = cols[bad]
+        pulse_cost = plan_write(
+            realized[bad].reshape(1, -1),
+            targets[bad].reshape(1, -1),
+            params,
+        )
+        report = report + WriteReport(
+            cells_written=0,
+            pulses=pulse_cost.pulses,
+            latency_s=pulse_cost.latency_s,
+            energy_j=pulse_cost.energy_j,
+        )
+        actual[bad_rows, bad_cols] = variation.reperturb(
+            targets[bad].reshape(1, -1),
+            actual[bad_rows, bad_cols].reshape(1, -1),
+            rng,
+        ).ravel()
+    else:
+        # Budget exhausted: take a final read to count survivors.
+        realized = actual[rows, cols]
+        reads += rows.size
+        bad = np.abs(realized - targets) > policy.tolerance * reference
+    return report + WriteReport(
+        cells_written=0,
+        pulses=0,
+        latency_s=0.0,
+        energy_j=0.0,
+        verify_reads=reads,
+        repulsed_cells=int(np.count_nonzero(repulsed)),
+        unverified_cells=int(np.count_nonzero(bad)),
+    )
+
+
+def validate_targets(
+    conductances: np.ndarray, g_on: float, where: str = ""
+) -> None:
+    """Reject conductance targets outside ``[0, g_on]``.
+
+    Mapped targets are either exactly 0 (cell isolated, 1T1R off
+    state) or inside the device window ``[g_off, g_on]``.  The
+    accepting path is two reductions — NaN propagates through both, so
+    a non-finite target always reaches the diagnosis, which names the
+    first failed rule (finite, non-negative, at most ``g_on``).
+    ``where`` prefixes the message (multi-member stacks name the
+    member).
+    """
+    if conductances.size == 0:
+        return
+    low = conductances.min()
+    high = conductances.max()
+    if low >= 0.0 and high <= g_on * (1 + 1e-12):
+        return
+    if not np.all(np.isfinite(conductances)):
+        raise MappingError(f"{where}conductance targets must be finite")
+    if low < 0.0:
+        raise MappingError(
+            f"{where}target {low:.3e} is negative; "
+            "memristance cannot be negative"
+        )
+    raise MappingError(
+        f"{where}target {high:.3e} above device g_on {g_on:.3e}"
+    )
+
+
+def write_cells(
+    nominal: np.ndarray,
+    actual: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    targets: np.ndarray,
+    report: WriteReport,
+    *,
+    params: DeviceParameters,
+    variation: VariationModel,
+    rng: np.random.Generator,
+    write_verify: WriteVerifyPolicy | None,
+) -> WriteReport:
+    """The cell-write kernel: program k cells that are known to move.
+
+    The caller has diffed, validated and planned the write:
+    ``rows``/``cols``/``targets`` are the cells whose target differs
+    from the programmed value, and ``report`` is their cost, planned
+    from the one gather of old values the diff needed.  A differential
+    write is planned as one ``(1, k)`` row, so each pulse charges
+    ``k - 1`` half-selected devices (see
+    :mod:`repro.crossbar.programming`).  The kernel writes the nominal
+    targets, draws variation for the k cells as one ``(1, k)`` draw
+    from ``rng`` and, under a write-verify policy, reads back exactly
+    these cells and adds the verify cost to the report.  Host cost is
+    O(k); ``nominal`` and ``actual`` (one member's 2-D grids) are
+    updated in place.
+    """
+    nominal[rows, cols] = targets
+    actual[rows, cols] = variation.perturb(
+        targets.reshape(1, -1), rng
+    ).ravel()
+    if write_verify is None:
+        return report
+    return run_write_verify(
+        nominal,
+        actual,
+        rows,
+        cols,
+        report,
+        policy=write_verify,
+        params=params,
+        variation=variation,
+        rng=rng,
+    )
 
 
 class CrossbarStack:
@@ -54,14 +231,28 @@ class CrossbarStack:
     n_members:
         Number of arrays in the stack (K).
     n_rows, n_cols:
-        Per-member array dimensions.
-    params, variation, g_sense, write_verify, tracer:
-        As for :class:`~repro.crossbar.array.CrossbarArray`, shared by
-        every member.
+        Per-member array dimensions (word-lines x bit-lines).
+    params:
+        Device preset; defaults to the HP TiO2 device.
+    variation:
+        Process-variation model applied at every programming event.
+    g_sense:
+        Conductance ``g_s`` of the bit-line sense resistors.  Defaults
+        to the device's ``g_on``.
     rngs:
         One generator *per member* (the determinism anchor: member
         ``k``'s variation stream is ``rngs[k]``'s).  Defaults to fresh
         independent ``default_rng()`` instances.
+    write_verify:
+        Closed-loop programming policy: after every programming event
+        the written cells are read back and out-of-tolerance cells are
+        re-pulsed up to the policy's round budget.  ``None`` (default)
+        keeps the paper's open-loop programming.
+    tracer:
+        Observability hook (:mod:`repro.obs`): every programming event
+        bumps the ``crossbar.*`` counters (cells written, pulses,
+        verify outcomes, physical write cost).  Defaults to the
+        zero-overhead no-op tracer.
     backend:
         A :class:`~repro.backend.Backend`, a backend name, or ``None``
         for the config/env default (see :func:`repro.backend.get_backend`).
@@ -107,48 +298,60 @@ class CrossbarStack:
             backend if isinstance(backend, Backend) else get_backend(backend)
         )
 
+        # Nominal (programmed) and actual (variation-perturbed) states.
+        # A blank array has every cell isolated (1T1R off state).
         shape = (self.n_members, self.n_rows, self.n_cols)
         self._nominal = np.zeros(shape)
         self._actual = self.variation.perturb_stack(self._nominal, self.rngs)
         self._total_reports = [
             WriteReport(0, 0, 0.0, 0.0) for _ in range(self.n_members)
         ]
-        # Canonical per-column sums (see array.canonical_colsums); the
-        # dirty mask is the union over members — a clean member's
-        # column recomputes to the identical value, so one mask keeps
-        # the refresh a single batched reduction.
-        self._colsum_nominal = self._batched_colsums(self._nominal)
-        self._colsum_actual = self._batched_colsums(self._actual)
+        # Multiply denominators ``g_s + column sums``, cached with the
+        # sums in the canonical reduction order (see canonical_colsums).
+        # A write marks exactly its columns dirty and the next read
+        # recomputes only those — O(dirty columns), not O(n·m), between
+        # the O(N) differential writes of the iteration hot path.  The
+        # dirty mask is the union over members: a clean member's column
+        # recomputes to the identical value, so one mask keeps the
+        # refresh a single batched reduction.
+        self._denom_nominal = self._denominators(self._nominal)
+        self._denom_actual = self._denominators(self._actual)
         self._dirty_cols = np.zeros(self.n_cols, dtype=bool)
+        self._stale = False
 
     # -- column-sum caches -------------------------------------------------
 
-    @staticmethod
-    def _batched_colsums(stack: np.ndarray) -> np.ndarray:
-        """Canonical column sums for every member: ``(K, n_cols)``."""
-        return np.ascontiguousarray(stack.transpose(0, 2, 1)).sum(axis=2)
+    def _denominators(self, stack: np.ndarray, cols=None) -> np.ndarray:
+        """``g_s`` plus canonical column sums of all or selected columns.
 
-    def _mark_dirty(self, cols: np.ndarray | None = None) -> None:
+        Both forms reduce each column as one contiguous vector: the full
+        form through a contiguous copy of the transpose, the subset form
+        through the fresh block its fancy index gathers.
+        """
+        columns = stack.transpose(0, 2, 1)
         if cols is None:
-            self._dirty_cols[:] = True
+            columns = np.ascontiguousarray(columns)
         else:
-            self._dirty_cols[cols] = True
+            columns = columns[:, cols]
+        return self.g_sense + columns.sum(axis=2)
+
+    def _mark_dirty(self, cols=None) -> None:
+        """Invalidate the denominators of the columns a write touched."""
+        self._dirty_cols[slice(None) if cols is None else cols] = True
+        self._stale = True
 
     def _refresh_colsums(self) -> None:
-        if not self._dirty_cols.any():
+        if not self._stale:
             return
         if self._dirty_cols.all():
-            self._colsum_nominal = self._batched_colsums(self._nominal)
-            self._colsum_actual = self._batched_colsums(self._actual)
+            self._denom_nominal = self._denominators(self._nominal)
+            self._denom_actual = self._denominators(self._actual)
         else:
             cols = np.flatnonzero(self._dirty_cols)
-            self._colsum_nominal[:, cols] = self._nominal.transpose(0, 2, 1)[
-                :, cols
-            ].sum(axis=2)
-            self._colsum_actual[:, cols] = self._actual.transpose(0, 2, 1)[
-                :, cols
-            ].sum(axis=2)
+            self._denom_nominal[:, cols] = self._denominators(self._nominal, cols)
+            self._denom_actual[:, cols] = self._denominators(self._actual, cols)
         self._dirty_cols[:] = False
+        self._stale = False
 
     # -- member bookkeeping -------------------------------------------------
 
@@ -171,7 +374,42 @@ class CrossbarStack:
             raise IndexError("member index out of range")
         return np.unique(members)
 
+    def _select(
+        self, values, width: int, members
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """A member selector and its ``(count, width)`` rows.
+
+        The selector comes back as ``None`` when it keeps every member,
+        so callers skip the gather copies.  ``values`` is ``(width,)``
+        (shared by every selected member), ``(K, width)`` (rows of
+        unselected members are ignored) or one row per selected member.
+        """
+        selected = None if members is None else self._member_indices(members)
+        if selected is not None and selected.size == self.n_members:
+            selected = None
+        count = self.n_members if selected is None else selected.size
+        values = np.asarray(values, dtype=float)
+        if values.shape == (width,):
+            if count == 1:
+                return selected, values[None]
+            return selected, np.broadcast_to(values, (count, width))
+        if selected is not None and values.shape == (self.n_members, width):
+            return selected, values[selected]
+        if values.shape != (count, width):
+            raise ValueError(
+                f"expected input of shape ({width},), ({self.n_members}, "
+                f"{width}) or ({count}, {width}), got {values.shape}"
+            )
+        return selected, values
+
+    def _where(self, member: int) -> str:
+        """Error-message prefix naming the member of a fleet."""
+        return f"member {member}: " if self.n_members > 1 else ""
+
     def _log_write(self, member: int, report: WriteReport) -> None:
+        """Fold one programming event into the member's running total
+        and emit its counters; the tracer check keeps the open-loop hot
+        path at one attribute read when tracing is off."""
         self._total_reports[member] = self._total_reports[member] + report
         tracer = self.tracer
         if not tracer.enabled:
@@ -207,46 +445,124 @@ class CrossbarStack:
             rng=self.rngs[member],
         )
 
+    def _write(
+        self,
+        member: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        targets: np.ndarray,
+        old: np.ndarray,
+    ) -> WriteReport:
+        """Plan and write one member's validated, moving cells."""
+        report = plan_write(
+            old.reshape(1, -1), targets.reshape(1, -1), self.params
+        )
+        report = write_cells(
+            self._nominal[member],
+            self._actual[member],
+            rows,
+            cols,
+            targets,
+            report,
+            params=self.params,
+            variation=self.variation,
+            rng=self.rngs[member],
+            write_verify=self.write_verify,
+        )
+        self._mark_dirty(cols)
+        self._log_write(member, report)
+        return report
+
     # -- programming -------------------------------------------------------
 
     def program(self, conductances: np.ndarray) -> list[WriteReport]:
         """Program every member to its full-grid targets.
 
         ``conductances`` is ``(K, n_rows, n_cols)`` or a single
-        ``(n_rows, n_cols)`` grid broadcast to every member.  The write
-        plan is one vectorized pass; variation redraws per member, in
-        member order, from each member's own generator.
+        ``(n_rows, n_cols)`` grid broadcast to every member.  Each
+        member's write is planned on its grid; a fresh variation draw
+        perturbs the entire array (every written cell re-rolls its
+        deviation), per member, in member order, from each member's own
+        generator.  Returns the per-member write-cost reports.
         """
         conductances = np.asarray(conductances, dtype=float)
-        if conductances.shape == (self.n_rows, self.n_cols):
-            conductances = np.broadcast_to(
-                conductances,
-                (self.n_members, self.n_rows, self.n_cols),
-            ).copy()
-        if conductances.shape != (
-            self.n_members,
-            self.n_rows,
-            self.n_cols,
-        ):
+        shape = (self.n_members, self.n_rows, self.n_cols)
+        if conductances.shape == shape[1:]:
+            conductances = np.broadcast_to(conductances, shape)
+        if conductances.shape != shape:
             raise MappingError(
                 f"conductance shape {conductances.shape} does not match "
-                f"stack ({self.n_members}, {self.n_rows}, {self.n_cols})"
+                f"stack {shape}"
             )
         for member in range(self.n_members):
             validate_targets(
-                conductances[member], self.params.g_on, f"member {member}: "
+                conductances[member], self.params.g_on, self._where(member)
             )
-        reports = plan_write_stack(self._nominal, conductances, self.params)
-        self._nominal = conductances.copy()
-        self._actual = self.variation.perturb_stack(self._nominal, self.rngs)
+        reports = [
+            plan_write(self._nominal[member], conductances[member], self.params)
+            for member in range(self.n_members)
+        ]
+        self._nominal[...] = conductances
+        self._actual[...] = self.variation.perturb_stack(
+            self._nominal, self.rngs
+        )
         self._mark_dirty()
-        rows, cols = np.indices((self.n_rows, self.n_cols)).reshape(2, -1)
+        rows, cols = np.indices(shape[1:]).reshape(2, -1)
         for member in range(self.n_members):
             reports[member] = self._verify_member(
                 member, rows, cols, reports[member]
             )
             self._log_write(member, reports[member])
         return reports
+
+    def program_member_cells(
+        self,
+        member: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        conductances: np.ndarray,
+        *,
+        skip_unchanged: bool = False,
+    ) -> WriteReport:
+        """Selectively reprogram cells of one member (O(#cells) write).
+
+        This is the primitive behind the paper's O(N) iteration cost:
+        only the changed diagonal blocks are rewritten.  Variation is
+        re-drawn for the written cells only; untouched cells keep their
+        previous physical deviation.  The cells' programmed values are
+        gathered once; they feed the diff and the ``(1, k)`` write plan,
+        and :func:`write_cells` performs the write.
+
+        With ``skip_unchanged=True`` cells whose target already equals
+        the programmed value are dropped before any physical modeling
+        — no variation redraw, no write–verify read-back, and range
+        validation covers only the cells that move.  A skipped cell
+        keeps its existing deviation (no write event happened to it).
+        Callers that diffed the write themselves pass only moving
+        cells and leave it off.  An empty write is no event.
+        """
+        rows = np.asarray(rows, dtype=int)
+        cols = np.asarray(cols, dtype=int)
+        conductances = np.asarray(conductances, dtype=float)
+        if not (rows.shape == cols.shape == conductances.shape):
+            raise ValueError("rows, cols, conductances must align")
+        if rows.size == 0:
+            return WriteReport(0, 0, 0.0, 0.0)
+        if rows.min() < 0 or rows.max() >= self.n_rows:
+            raise IndexError("row index out of range")
+        if cols.min() < 0 or cols.max() >= self.n_cols:
+            raise IndexError("column index out of range")
+        old = self._nominal[member][rows, cols]
+        if skip_unchanged:
+            moved = conductances != old
+            count = np.count_nonzero(moved)
+            if count == 0:
+                return WriteReport(0, 0, 0.0, 0.0)
+            if count < moved.size:
+                rows, cols = rows[moved], cols[moved]
+                conductances, old = conductances[moved], old[moved]
+        validate_targets(conductances, self.params.g_on, self._where(member))
+        return self._write(member, rows, cols, conductances, old)
 
     def program_cells(
         self,
@@ -262,44 +578,24 @@ class CrossbarStack:
         ``rows``/``cols`` name the same cells on every selected
         member; ``conductances`` is ``(c,)`` (shared targets) or
         ``(K, c)`` (per-member targets; rows of unselected members are
-        ignored).  One gather reads every selected member's programmed
-        values; with ``skip_unchanged`` each member then drops the
-        cells already holding their target.  Every target is validated
-        before any member is written, the members' ``(1, k)`` write
-        costs are planned in one vectorized pass, and each member's
-        moved cells go through the serial cell-write kernel
-        (:func:`~repro.crossbar.array.write_cells`) with that member's
-        generator — the same cells, draws and report a serial array
-        would produce.
+        ignored) or ``(len(members), c)``.  One gather reads every
+        selected member's programmed values; with ``skip_unchanged``
+        each member then drops the cells already holding their target.
+        Every target is validated before any member is written; then
+        each member's moved cells are planned and written on its own
+        grid exactly as :meth:`program_member_cells` would.
 
         Returns a K-long list: a :class:`WriteReport` per selected
-        member, ``None`` for members the mask excluded (no event,
-        exactly like an untouched serial array).
+        member, ``None`` for members the mask excluded (no event).
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
-        conductances = np.asarray(conductances, dtype=float)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise ValueError("rows and cols must be matching 1-D arrays")
-        selected = self._member_indices(members)
+        selected, targets = self._select(conductances, rows.size, members)
+        if selected is None:
+            selected = np.arange(self.n_members)
         results: list[WriteReport | None] = [None] * self.n_members
-        if conductances.ndim == 1:
-            if conductances.shape != rows.shape:
-                raise ValueError("rows, cols, conductances must align")
-            targets = np.broadcast_to(
-                conductances, (selected.size, rows.size)
-            )
-        elif conductances.shape == (self.n_members, rows.size):
-            targets = conductances[selected]
-        elif conductances.shape == (selected.size, rows.size):
-            # One row per *selected* member (mask-aligned callers).
-            targets = conductances
-        else:
-            raise ValueError(
-                f"conductances must be ({rows.size},), "
-                f"({self.n_members}, {rows.size}) or "
-                f"({selected.size}, {rows.size}), got {conductances.shape}"
-            )
         if rows.size == 0:
             for member in selected:
                 results[member] = WriteReport(0, 0, 0.0, 0.0)
@@ -310,81 +606,122 @@ class CrossbarStack:
             raise IndexError("column index out of range")
 
         current = self._nominal[selected[:, None], rows[None, :], cols[None, :]]
-        if skip_unchanged:
-            changed = targets != current
-        else:
-            changed = np.ones_like(current, dtype=bool)
-        changed_counts = changed.sum(axis=1)
-        active = np.flatnonzero(changed_counts)
-        for pos in np.flatnonzero(changed_counts == 0):
-            results[selected[pos]] = WriteReport(0, 0, 0.0, 0.0)
-        for pos in active:
-            validate_targets(
-                targets[pos][changed[pos]],
-                self.params.g_on,
-                f"member {selected[pos]}: ",
-            )
-        if active.size == 0:
-            return results
-
-        # Vectorized per-member write plan.  Unchanged cells keep their
-        # old value (zero swing), which plans exactly like the serial
-        # path's changed-subset write; the half-select factor is the
-        # per-member changed count (the serial (1, c_k) reshape).
-        planned_new = np.where(changed[active], targets[active], current[active])
-        reports = plan_write_stack(
-            current[active][:, None, :],
-            planned_new[:, None, :],
-            self.params,
-            half_select_counts=changed_counts[active] - 1,
+        changed = (
+            targets != current
+            if skip_unchanged
+            else np.ones(current.shape, dtype=bool)
         )
-        for report, pos in zip(reports, active):
-            member = int(selected[pos])
+        writes = []
+        for pos, member in enumerate(selected):
             mask = changed[pos]
-            m_cols = cols[mask]
-            report = write_cells(
-                self._nominal[member],
-                self._actual[member],
-                rows[mask],
-                m_cols,
-                targets[pos][mask],
-                report,
-                params=self.params,
-                variation=self.variation,
-                rng=self.rngs[member],
-                write_verify=self.write_verify,
+            if not mask.any():
+                results[member] = WriteReport(0, 0, 0.0, 0.0)
+                continue
+            validate_targets(
+                targets[pos][mask], self.params.g_on, self._where(member)
             )
-            self._mark_dirty(m_cols)
-            self._log_write(member, report)
-            results[member] = report
+            writes.append((pos, int(member), mask))
+        for pos, member, mask in writes:
+            results[member] = self._write(
+                member,
+                rows[mask],
+                cols[mask],
+                targets[pos][mask],
+                current[pos][mask],
+            )
         return results
 
     def redraw(self, members=None) -> list[WriteReport | None]:
         """Reprogram every active cell of the selected members.
 
-        The recovery ladder's *reprogram* rung, fleet-wide: nominal
-        targets are unchanged; each selected member redraws fresh
-        variation for its nonzero cells from its own generator.
+        The recovery ladder's *reprogram* rung: the nominal targets are
+        unchanged, but every cell holding a nonzero conductance is
+        rewritten so process variation is freshly drawn (the paper's
+        Section 4.5 "double checking scheme" retries under a new
+        physical realization), from each member's own generator.  Cost
+        scales with the number of active cells, not the grid — on the
+        sparse augmented Newton matrices that is O(nnz).
         """
-        selected = self._member_indices(members)
         results: list[WriteReport | None] = [None] * self.n_members
-        touched_cols: list[np.ndarray] = []
-        for member in selected:
+        for member in self._member_indices(members):
             member = int(member)
-            m_rows, m_cols = np.nonzero(self._nominal[member])
+            nominal = self._nominal[member]
+            rows, cols = np.nonzero(nominal)
             report = WriteReport(0, 0, 0.0, 0.0)
-            if m_rows.size:
-                targets = self._nominal[member, m_rows, m_cols]
-                self._actual[member, m_rows, m_cols] = self.variation.perturb(
-                    targets.reshape(1, -1), self.rngs[member]
+            if rows.size:
+                self._actual[member][rows, cols] = self.variation.perturb(
+                    nominal[rows, cols].reshape(1, -1), self.rngs[member]
                 ).ravel()
-                report = self._verify_member(member, m_rows, m_cols, report)
-                touched_cols.append(m_cols)
+                report = self._verify_member(member, rows, cols, report)
+                self._mark_dirty(cols)
             self._log_write(member, report)
             results[member] = report
-        if touched_cols:
-            self._mark_dirty(np.concatenate(touched_cols))
         return results
+
+    # -- fault injection -------------------------------------------------------
+
+    def inject_stuck_off(
+        self,
+        row_fraction: float = 1.0,
+        *,
+        rng: np.random.Generator | None = None,
+    ) -> int:
+        """Chaos hook: force a fraction of word-lines to the OFF state.
+
+        Zeroes the *actual* conductances of the chosen rows of every
+        member while leaving the nominal (programmed) targets
+        untouched — the model of a failed row driver or a block of
+        cells stuck open.  Because the nominal state still claims the
+        old values, the digital decode keeps using stale denominators
+        and a health probe (:mod:`repro.reliability.probe`) sees an
+        unbounded mismatch and rejects the array.  Rows are drawn from
+        ``rng`` if given, else from each member's own generator.
+        Returns the number of cells forced off.
+        """
+        if not 0.0 < row_fraction <= 1.0:
+            raise ValueError(
+                f"row_fraction must lie in (0, 1], got {row_fraction}"
+            )
+        count = max(1, int(round(self.n_rows * row_fraction)))
+        forced = 0
+        for member in range(self.n_members):
+            if count >= self.n_rows:
+                rows = np.arange(self.n_rows)
+            else:
+                source = rng if rng is not None else self.rngs[member]
+                rows = source.choice(self.n_rows, size=count, replace=False)
+            self._actual[member, rows, :] = 0.0
+            forced += rows.size * self.n_cols
+        self._mark_dirty()
+        return int(forced)
+
+    def apply_drift(
+        self,
+        magnitude: float,
+        *,
+        rng: np.random.Generator | None = None,
+    ) -> None:
+        """Chaos hook: multiplicative conductance drift on every cell.
+
+        Scales each *actual* conductance of every member by
+        ``1 + U(-magnitude, +magnitude)`` (clipped to ``[0, g_on]``)
+        while leaving the nominal targets untouched — the model of an
+        aged array or a temperature step between calibrations.  Unlike
+        :meth:`inject_stuck_off` the perturbation is proportional, so
+        small magnitudes degrade accuracy without tripping the health
+        probe outright: the brownout-degradation path's natural test
+        load.  The next (re)program overwrites the drift.
+        """
+        if magnitude <= 0:
+            raise ValueError(f"magnitude must be positive, got {magnitude}")
+        for member in range(self.n_members):
+            source = rng if rng is not None else self.rngs[member]
+            actual = self._actual[member]
+            factors = 1.0 + source.uniform(
+                -magnitude, magnitude, size=actual.shape
+            )
+            np.clip(actual * factors, 0.0, self.params.g_on, out=actual)
+        self._mark_dirty()
 
     # -- analog primitives ---------------------------------------------------
 
@@ -393,46 +730,36 @@ class CrossbarStack:
     ) -> np.ndarray:
         """Batched Eqn. 5 read-out: ``(K, n_cols)`` bit-line voltages.
 
-        ``v_in`` is ``(K, n_rows)`` (per-member drives) or ``(n_rows,)``
-        broadcast to the fleet.  One backend matvec evaluates every
-        member; with the numpy backend each row is bitwise what the
-        serial array returns.  With ``members`` set, ``v_in`` is
-        ``(len(selected), n_rows)`` and only those members' arrays are
-        driven (each selected row still bitwise-serial) — the lockstep
-        solver's straggler path.
+        ``V_O = D G^T V_I`` with ``d_j = 1/(g_s + sum_k g_{k,j})`` and
+        the actual (perturbed) conductances.  ``v_in`` is ``(K,
+        n_rows)`` (per-member drives) or ``(n_rows,)`` broadcast to the
+        fleet; one backend matvec evaluates every member.  With
+        ``members`` set, ``v_in`` is ``(len(selected), n_rows)`` and
+        only those members' arrays are driven (each selected row still
+        bitwise what the full fleet computes) — the lockstep solver's
+        straggler path.
         """
-        selected = self._member_indices(members)
-        v_in = np.asarray(v_in, dtype=float)
-        if v_in.shape == (self.n_rows,):
-            v_in = np.ascontiguousarray(
-                np.broadcast_to(v_in, (selected.size, self.n_rows))
-            )
-        if v_in.shape != (selected.size, self.n_rows):
-            raise ValueError(
-                f"expected input of shape ({selected.size}, "
-                f"{self.n_rows},), got {v_in.shape}"
-            )
-        stack = (
-            self._actual
-            if selected.size == self.n_members
-            else self._actual[selected]
-        )
-        currents = self.backend.matvec_t(stack, v_in)
+        selected, v_in = self._select(v_in, self.n_rows, members)
+        stack = self._actual if selected is None else self._actual[selected]
+        currents = self.backend.matvec_t(stack, np.ascontiguousarray(v_in))
         self._refresh_colsums()
-        denominators = self.g_sense + self._colsum_actual[selected]
-        return currents / denominators
+        if selected is None:
+            return currents / self._denom_actual
+        return currents / self._denom_actual[selected]
 
     def nominal_denominators(self, members=None) -> np.ndarray:
         """``g_s + column sums`` of programmed conductances, ``(K, n_cols)``.
 
+        The digital controller knows the values it programmed, so the
+        decode stage divides by these nominal denominators; deviation
+        of the actual denominators is part of the variation error.
         With ``members`` set, only the selected members' rows, in
         index order.
         """
         self._refresh_colsums()
         if members is None:
-            return self.g_sense + self._colsum_nominal
-        selected = self._member_indices(members)
-        return self.g_sense + self._colsum_nominal[selected]
+            return self._denom_nominal.copy()
+        return self._denom_nominal[self._member_indices(members)]
 
     def try_solve(
         self, v_out: np.ndarray, *, members=None
@@ -441,59 +768,48 @@ class CrossbarStack:
 
         Solves every member's ``G^T V_I = g_s V_O`` in one backend
         call.  When the batched kernel rejects the stack (any singular
-        member), the members are re-solved individually so one bad
-        draw cannot poison the fleet: the returned error list carries
-        a :class:`CrossbarSolveError` per failed member and ``None``
-        per healthy one; failed members' solution rows are zeros.
-        With ``members`` set, ``v_out`` is ``(len(selected), n)`` and
-        both returns are selected-length, in index order.
+        member — the failure mode of Section 4.3), the members are
+        re-solved individually so one bad draw cannot poison the
+        fleet: the returned error list carries a
+        :class:`CrossbarSolveError` per failed member and ``None`` per
+        healthy one; failed members' solution rows are zeros.  With
+        ``members`` set, ``v_out`` is ``(len(selected), n)`` and both
+        returns are selected-length, in index order.
         """
         if self.n_rows != self.n_cols:
             raise CrossbarSolveError(
-                f"solving requires square arrays, got "
+                f"solving requires a square array, got "
                 f"{self.n_rows}x{self.n_cols}"
             )
-        selected = self._member_indices(members)
-        v_out = np.asarray(v_out, dtype=float)
-        if v_out.shape == (self.n_cols,):
-            v_out = np.ascontiguousarray(
-                np.broadcast_to(v_out, (selected.size, self.n_cols))
-            )
-        if v_out.shape != (selected.size, self.n_cols):
-            raise ValueError(
-                f"expected target of shape ({selected.size}, "
-                f"{self.n_cols},), got {v_out.shape}"
-            )
-        stack = (
-            self._actual
-            if selected.size == self.n_members
-            else self._actual[selected]
-        )
+        selected, v_out = self._select(v_out, self.n_cols, members)
+        stack = self._actual if selected is None else self._actual[selected]
+        count = len(v_out)
         rhs = self.g_sense * v_out
-        errors: list[CrossbarSolveError | None] = [None] * selected.size
+        errors: list[CrossbarSolveError | None] = [None] * count
         try:
             solutions = self.backend.solve_t(stack, rhs)
         except np.linalg.LinAlgError:
             # Per-member fallback: a 2-D solve is bitwise what the
             # batched gufunc computes for that slice, so isolation
             # costs nothing in reproducibility.
-            solutions = np.zeros((selected.size, self.n_rows))
-            for index, member in enumerate(selected):
+            solutions = np.zeros((count, self.n_rows))
+            for index in range(count):
                 try:
                     solutions[index] = np.linalg.solve(
-                        self._actual[member].T, rhs[index]
+                        stack[index].T, rhs[index]
                     )
                 except np.linalg.LinAlgError as exc:
                     errors[index] = CrossbarSolveError(
                         "perturbed conductance matrix is singular"
                     )
                     errors[index].__cause__ = exc
-        finite = np.all(np.isfinite(solutions), axis=1)
-        for index in range(selected.size):
-            if errors[index] is None and not finite[index]:
-                errors[index] = CrossbarSolveError(
-                    "analog solve produced non-finite rails"
-                )
+        if not np.isfinite(solutions).all():
+            finite = np.isfinite(solutions).all(axis=1)
+            for index in np.flatnonzero(~finite):
+                if errors[index] is None:
+                    errors[index] = CrossbarSolveError(
+                        "analog solve produced non-finite rails"
+                    )
                 solutions[index] = 0.0
         return solutions, errors
 
@@ -523,7 +839,12 @@ class CrossbarStack:
 
     @property
     def total_write_reports(self) -> list[WriteReport]:
-        """Per-member lifetime write costs (running totals)."""
+        """Per-member lifetime write costs.
+
+        Maintained as running totals at each write, so frequent
+        baselining (the serving layer snapshots them around every job)
+        is O(1) and the stack keeps no per-event history.
+        """
         return list(self._total_reports)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

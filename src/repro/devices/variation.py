@@ -78,7 +78,7 @@ class VariationModel(abc.ABC):
         The batched engine's determinism rule: member ``k``'s draws
         come from ``rngs[k]`` alone, in member order, consuming exactly
         the variates ``perturb(stack[k], rngs[k])`` would — so a stack
-        member stays bitwise-identical to a serial array driven by the
+        member stays bitwise-identical to a one-member stack driven by the
         same generator.  Cross-member order is irrelevant (each member
         owns its stream), which is what lets callers batch the
         surrounding tensor math freely.

@@ -22,9 +22,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.crossbar.array import canonical_colsums
-from repro.crossbar.quantization import quantize_auto
-
 
 @dataclasses.dataclass(frozen=True)
 class ProbePolicy:
@@ -172,120 +169,21 @@ def probe_operators(
     )
 
 
-def _fleet_batchable(operators) -> bool:
-    """Whether a fleet of operators can share one batched probe pipeline.
-
-    The batched pipeline replicates the serial analog multiply for the
-    plain configuration only: global (scalar) scaling, zero off-state,
-    entry-mode converters — and every operator must share shape and
-    converter/sense parameters so the stacked tensors are rectangular.
-    Anything else is probed serially.
-    """
-    first = operators[0]
-    def signature(op):
-        return (
-            op.n_out,
-            op.n_in,
-            op.dac_bits,
-            op.adc_bits,
-            op.quantization,
-            op.off_state,
-            bool(op.row_scaling),
-            op.params.v_read,
-            op.array.g_sense,
-        )
-    if first.row_scaling or first.off_state != "zero":
-        return False
-    if first.quantization != "entry":
-        return False
-    return all(signature(op) == signature(first) for op in operators)
-
-
 def probe_operators_batched(
     named_operators,
     policy: ProbePolicy,
     rng: np.random.Generator,
 ) -> list[ProbeReport]:
-    """Probe a fleet of arrays, analog multiplies batched.
+    """Probe a fleet of arrays; one :class:`ProbeReport` per array.
 
-    Returns one :class:`ProbeReport` per ``(label, operator)`` pair, in
-    order, each bitwise identical to what :func:`probe_operator` would
-    produce — probe vectors are drawn from ``rng`` in member order
-    (exactly the serial draw sequence) and the analog read-out pipeline
-    (input gain, DAC, Eqn. 5 with the perturbed conductances, ADC,
-    nominal-denominator decode) runs as stacked tensor ops across the
-    whole fleet.  Fleets mixing shapes or exotic configurations
-    (row scaling, leak off-state, vector-mode converters) fall back to
-    per-operator probing.
+    Returns one report per ``(label, operator)`` pair, in order: a
+    member-order loop of :func:`probe_operator` over ``rng``, so the
+    probe vectors follow the serial draw sequence exactly.
     """
     named = list(named_operators)
     if not named:
         raise ValueError("no operators to probe")
-    operators = [op for _, op in named]
-    if len(named) == 1 or not _fleet_batchable(operators):
-        return [
-            probe_operator(op, policy, rng, label=label)
-            for label, op in named
-        ]
-
-    first = operators[0]
-    n_members = len(operators)
-    # Serial draw order: member-major, the all-ones vector first.
-    vectors = np.empty((policy.vectors, n_members, first.n_in))
-    for member in range(n_members):
-        for index in range(policy.vectors):
-            vectors[index, member] = (
-                np.ones(first.n_in)
-                if index == 0
-                else rng.uniform(0.5, 1.5, size=first.n_in)
-            )
-
-    actual = np.stack([op.array.actual_conductances for op in operators])
-    nominal = np.stack([op.array.nominal_conductances for op in operators])
-    g_sense = first.array.g_sense
-    denom_actual = g_sense + np.stack(
-        [canonical_colsums(slice_) for slice_ in actual]
-    )
-    denom_nominal = g_sense + np.stack(
-        [canonical_colsums(slice_) for slice_ in nominal]
-    )
-    scales = np.stack([op.scale_vector for op in operators])
-    coefficients = [op.coefficients for op in operators]
-
-    worst = np.zeros(n_members)
-    for index in range(policy.vectors):
-        x = vectors[index]
-        for op in operators:
-            op.tracer.count("analog.multiplies")
-        peaks = np.abs(x).max(axis=1)
-        s_x = first.params.v_read / peaks
-        v_in = quantize_auto(x * s_x[:, None], first.dac_bits, "entry")
-        currents = np.matmul(
-            actual.transpose(0, 2, 1), v_in[:, :, None]
-        )[:, :, 0]
-        v_out = quantize_auto(
-            currents / denom_actual, first.adc_bits, "entry"
-        )
-        analog = v_out * denom_nominal / (scales * s_x[:, None])
-        for member in range(n_members):
-            expected = coefficients[member] @ x[member]
-            peak = float(np.max(np.abs(expected), initial=0.0))
-            scale = max(peak, 1e-300)
-            worst[member] = max(
-                worst[member],
-                float(np.max(np.abs(analog[member] - expected))) / scale,
-            )
-
-    reports = []
-    for member, (label, op) in enumerate(named):
-        tolerance = probe_tolerance(op, policy)
-        reports.append(
-            ProbeReport(
-                max_rel_error=float(worst[member]),
-                tolerance=tolerance,
-                vectors=policy.vectors,
-                healthy=float(worst[member]) <= tolerance,
-                label=label,
-            )
-        )
-    return reports
+    return [
+        probe_operator(operator, policy, rng, label=label)
+        for label, operator in named
+    ]

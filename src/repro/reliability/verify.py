@@ -7,10 +7,10 @@ controllers close the loop instead — *write–verify*: after writing,
 read each cell back, and re-pulse the cells whose realized conductance
 is outside a relative tolerance of the target, up to a pulse budget.
 
-:class:`WriteVerifyPolicy` configures that loop; the loop itself lives
-in :meth:`repro.crossbar.array.CrossbarArray._verify_written` so every
-programming event (full programs and the O(N) per-iteration cell
-updates) is covered.  Costs are folded into the
+:class:`WriteVerifyPolicy` configures that loop; the loop itself is
+:func:`repro.crossbar.stack.run_write_verify`, which the crossbar
+stack runs per member on every programming event (full programs and
+the O(N) per-iteration cell updates).  Costs are folded into the
 :class:`~repro.crossbar.programming.WriteReport`: extra pulses, their
 latency/energy, plus the verify-specific counters (read-backs,
 re-pulsed cells, and cells still out of tolerance when the budget ran

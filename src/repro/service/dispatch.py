@@ -135,8 +135,6 @@ def _remote_attempt(
             operator = pickle.loads(operator_blob)
             operator.rng = rng
             operator.tracer = job_tracer
-            operator.array.rng = rng
-            operator.array.tracer = job_tracer
         else:
             operator = CrossbarPDIPSolver(
                 problem,
@@ -170,7 +168,6 @@ def _remote_attempt(
     # Detach the child-local tracer before shipping the operator back:
     # the parent re-attaches its own, and the blob stays compact.
     operator.tracer = NOOP
-    operator.array.tracer = NOOP
     return (
         result,
         job_tracer.event_dicts(),

@@ -280,8 +280,6 @@ class CrossbarPool:
                 assert operator is not None
                 operator.rng = rng
                 operator.tracer = job_tracer
-                operator.array.rng = rng
-                operator.array.tracer = job_tracer
             else:
                 member.operator = programmer(rng, job_tracer)
                 member.fingerprint = fingerprint
@@ -499,15 +497,14 @@ class CrossbarPool:
         *,
         drain_unhealthy: bool = False,
     ) -> dict[int, "ProbeReport"]:
-        """Health-probe every programmed member, one batched fleet pass.
+        """Health-probe every programmed member in one fleet sweep.
 
         Drives the probe vectors through all IDLE/BUSY members' arrays
-        as stacked tensor ops
         (:func:`~repro.reliability.probe.probe_operators_batched`) —
         the fleet-wide analogue of the per-job probe, for operators
-        sweeping a serving pool between batches.  Reports are bitwise
-        what per-member :func:`~repro.reliability.probe.probe_operator`
-        calls in member order would produce.  With ``drain_unhealthy``
+        sweeping a serving pool between batches.  Reports are
+        per-member :func:`~repro.reliability.probe.probe_operator`
+        calls in member order with the pool rng.  With ``drain_unhealthy``
         set, failing members leave the schedulable set (the normal
         :meth:`recover` cycle then applies).
 

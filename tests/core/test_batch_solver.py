@@ -124,16 +124,31 @@ class TestBatchedParity:
             ),
         )
 
-    def test_serial_fallbacks(self):
-        problems = lps(3, 6)
+    def test_leak_without_converters(self):
+        # With converters off nothing rounds the leak correction, and
+        # m=16 systems hold floored cells: a change in the dummy-row
+        # term's summation order would move the batch off serial.
         assert_parity(
-            problems,
+            lps(8, 16),
+            CrossbarSolverSettings(
+                variation=UniformVariation(0.05),
+                off_state="leak",
+                dac_bits=None,
+                adc_bits=None,
+            ),
+        )
+
+    def test_row_scaled_lockstep(self):
+        assert_parity(
+            lps(3, 6),
             CrossbarSolverSettings(
                 variation=UniformVariation(0.05), row_scaling=True
             ),
         )
+
+    def test_serial_fallbacks(self):
         assert_parity(
-            problems,
+            lps(3, 6),
             CrossbarSolverSettings(variation=UniformVariation(0.05)),
             trace=True,
         )

@@ -20,10 +20,10 @@ from repro.backend import (
     get_backend,
     torch_available,
 )
+from repro.crossbar.array import CrossbarArray
 from repro.crossbar.ops import AnalogMatrixOperator
 from repro.crossbar.opstack import AnalogOperatorStack
 from repro.devices.variation import UniformVariation
-from repro.exceptions import MappingError
 from repro.reliability.verify import WriteVerifyPolicy
 
 K = 5
@@ -87,6 +87,27 @@ class TestBackendSelection:
         monkeypatch.setenv(BACKEND_ENV, "definitely-not-a-backend")
         assert isinstance(get_backend("numpy"), NumpyBackend)
 
+    def test_serial_facades_pin_numpy(self, monkeypatch):
+        # An unknown env backend breaks only stacks that ask for the
+        # default; the serial operator and array always run on numpy.
+        monkeypatch.setenv(BACKEND_ENV, "definitely-not-a-backend")
+        gen = np.random.default_rng(12)
+        matrix = gen.uniform(0.1, 1.0, size=(N, N)) + 2.0 * np.eye(N)
+        op = AnalogMatrixOperator(
+            matrix, variation=UniformVariation(0.05), rng=gen
+        )
+        op.update_coefficients(
+            np.arange(N), np.arange(N), np.full(N, 3.0)
+        )
+        assert op.multiply(np.ones(N)).shape == (N,)
+        assert op.solve(np.ones(N)).shape == (N,)
+        array = CrossbarArray(N, N, rng=gen)
+        array.program(op.array.nominal_conductances)
+        assert array.multiply(np.ones(N)).shape == (N,)
+        assert array.solve(np.ones(N)).shape == (N,)
+        with pytest.raises(ValueError, match="unknown backend"):
+            AnalogOperatorStack(matrix[None])
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("fortran")
@@ -131,7 +152,7 @@ class TestNumpyStackBitwiseParity:
             batched = stack.multiply(x)
             for k, op in enumerate(serial):
                 assert batched[k].tobytes() == op.multiply(x[k]).tobytes()
-                assert stack.scales[k] == op.scale
+                assert stack.scales[k].tobytes() == op.scale_vector.tobytes()
                 assert stack.full_reprograms[k] == op.full_reprograms
         assert_reports_equal(serial, stack)
         assert_rng_lockstep(serial, stack)
@@ -178,12 +199,86 @@ class TestNumpyStackBitwiseParity:
         assert errors == [None] * members.size and not any(errors_full)
         assert solved.tobytes() == solved_full[members].tobytes()
 
-    def test_row_scaling_rejected(self):
-        gen = np.random.default_rng(6)
-        matrices = gen.uniform(0.1, 1.0, size=(2, 4, 4))
-        with pytest.raises(MappingError, match="global mapping only"):
-            AnalogOperatorStack(matrices, row_scaling=True)
+    def test_row_scaled_members_match_one_member_stacks(self):
+        """Row scaling on a K-member stack: member k == a one-member stack.
 
+        Rows span four decades, so members rescale different rows in
+        the same update; coordinates are unsorted with a duplicate
+        cell; one update overflows rows (a rescale remap) and one
+        shrinks them below the hysteresis band; renormalize follows.
+        The leak pass runs with converters off and floored cells, where
+        any change in the leak term's summation order shows.
+        """
+        n = 64  # wide enough for summation order to show in the leak term
+        for off_state, bits in (("zero", 8), ("leak", None)):
+            gen = np.random.default_rng(11)
+            decades = np.logspace(-2, 2, n)[None, :, None]
+            matrices = gen.uniform(0.05, 1.0, size=(K, n, n)) * decades
+            matrices[gen.random((K, n, n)) < 0.3] *= 1e-5
+            matrices += np.eye(n)
+            kwargs = dict(
+                variation=UniformVariation(0.05),
+                row_scaling=True,
+                off_state=off_state,
+                dac_bits=bits,
+                adc_bits=bits,
+                scale_headroom=2.0,
+            )
+            fleet = AnalogOperatorStack(
+                matrices,
+                rngs=[np.random.default_rng(50 + k) for k in range(K)],
+                **kwargs,
+            )
+            singles = [
+                AnalogOperatorStack(
+                    matrices[k:k + 1],
+                    rngs=[np.random.default_rng(50 + k)],
+                    **kwargs,
+                )
+                for k in range(K)
+            ]
+
+            def check():
+                x = gen.uniform(-1.0, 1.0, size=(K, n))
+                b = gen.uniform(-1.0, 1.0, size=(K, n))
+                products = fleet.multiply(x)
+                solutions, errors = fleet.try_solve(b)
+                for k, single in enumerate(singles):
+                    assert (
+                        products[k].tobytes()
+                        == single.multiply(x[k])[0].tobytes()
+                    ), k
+                    want, want_errors = single.try_solve(b[k])
+                    assert solutions[k].tobytes() == want[0].tobytes(), k
+                    assert (errors[k] is None) == (want_errors[0] is None), k
+                    assert fleet.scales[k].tobytes() == single.scales[0].tobytes()
+                    assert fleet.full_reprograms[k] == single.full_reprograms[0]
+                    assert fleet.write_reports[k] == single.write_reports[0]
+                    assert (
+                        fleet.stack.rngs[k].bit_generator.state
+                        == single.stack.rngs[0].bit_generator.state
+                    ), k
+
+            check()
+            rows = np.array([40, 1, 40, 3, 63])  # unsorted; (40, 2) twice
+            cols = np.array([2, 1, 2, 3, 0])
+            base = matrices[:, rows, cols]
+            for factor in (50.0, 1e-3, 1.0):
+                values = base * factor
+                values[:, 0] *= 0.5  # the duplicate's first write
+                values[: K // 2] *= 3.0  # members diverge
+                fleet.update_coefficients(
+                    rows, cols, values, floor_to_representable=True
+                )
+                for k, single in enumerate(singles):
+                    single.update_coefficients(
+                        rows, cols, values[k], floor_to_representable=True
+                    )
+                check()
+            fleet.renormalize()
+            for single in singles:
+                single.renormalize()
+            check()
 
 @pytest.mark.skipif(not torch_available(), reason="torch not installed")
 class TestTorchBackendTolerance:

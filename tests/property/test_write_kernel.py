@@ -1,12 +1,13 @@
 """Contract test for the cell-write kernel.
 
 Coefficient updates reach the crossbar through one kernel
-(:func:`repro.crossbar.array.write_cells`) fed with cells that are
+(:func:`repro.crossbar.stack.write_cells`) fed with cells that are
 already diffed: rescaled or remapped row blocks are compared against
 the programmed grid in one 2-D pass.  Before the kernel, every row
 block was expanded with ``np.meshgrid``, mapped with ``map_cells``,
 filtered with ``plan_diff`` and planned with ``plan_write``; that path
-is kept below, verbatim, as the reference.  Driven through random
+is kept below, verbatim, as a standalone reference operator on its own
+grids, driven beside the real operator.  Through random
 ``update_coefficients`` / ``renormalize`` sequences, the two must agree
 bitwise after every call: nominal and actual grids, floored mask,
 scales, every :class:`WriteReport` field and the generator state.
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.crossbar.array import run_write_verify
 from repro.crossbar.mapping import map_cells
-from repro.crossbar.ops import ROW_SCALE_HYSTERESIS, AnalogMatrixOperator
+from repro.crossbar.ops import AnalogMatrixOperator
+from repro.crossbar.opstack import ROW_SCALE_HYSTERESIS
 from repro.crossbar.programming import (
     HALF_SELECT_ENERGY_FRACTION,
     WriteReport,
@@ -100,13 +102,86 @@ def reference_program_cells(array, rows, cols, conductances):
             variation=array.variation,
             rng=array.rng,
         )
-    array._mark_dirty(cols)
-    array._log_write(report)
+    array.total = array.total + report
     return report
 
 
-class ReferenceOperator(AnalogMatrixOperator):
+class ReferenceArray:
+    """The crossbar state the reference path writes: grids, generator
+    and the running write total."""
+
+    def __init__(self, n_rows, n_cols, *, params, variation, rng,
+                 write_verify):
+        self.params = params
+        self.variation = variation
+        self.rng = rng
+        self.write_verify = write_verify
+        self._nominal = np.zeros((n_rows, n_cols))
+        self._actual = variation.perturb(self._nominal, rng)
+        self.total = WriteReport(0, 0, 0.0, 0.0)
+
+
+class ReferenceOperator:
     """The operator's write path before the kernel."""
+
+    def __init__(self, matrix, *, params, variation, rng, row_scaling,
+                 off_state, scale_headroom, write_verify):
+        self.params = params
+        self.row_scaling = row_scaling
+        self.off_state = off_state
+        self.scale_headroom = scale_headroom
+        self.n_out, self.n_in = matrix.shape
+        self._coefficients = matrix.copy()
+        self.array = ReferenceArray(
+            self.n_in, self.n_out, params=params, variation=variation,
+            rng=rng, write_verify=write_verify,
+        )
+        self._scales = self._fresh_scales()
+        self._floored = np.zeros((self.n_in, self.n_out), dtype=bool)
+        self._full_reprograms = 0
+        self._program_rows(np.arange(self.n_out))
+        self._full_reprograms = 1
+
+    def _fresh_scales(self):
+        if self.row_scaling:
+            row_max = self._coefficients.max(axis=1, initial=0.0)
+            safe = np.maximum(row_max, 1e-300)
+            return np.where(
+                row_max > 0,
+                self.params.g_on / (safe * self.scale_headroom),
+                self.params.g_on,
+            )
+        a_max = float(self._coefficients.max(initial=0.0))
+        if a_max <= 0.0:
+            a_max = 1.0
+        scale = self.params.g_on / (a_max * self.scale_headroom)
+        return np.full(self.n_out, scale)
+
+    def update_coefficients(self, rows, cols, values, *,
+                            floor_to_representable=False):
+        rows = np.asarray(rows, dtype=int)
+        cols = np.asarray(cols, dtype=int)
+        values = np.asarray(values, dtype=float)
+        if values.min() < 0:
+            raise MappingError("coefficients must be non-negative")
+        self._coefficients[rows, cols] = values
+        if self.row_scaling:
+            return self._update_row_scaled(
+                rows, cols, values, floor_to_representable
+            )
+        return self._update_global(rows, cols, values, floor_to_representable)
+
+    def renormalize(self):
+        fresh = self._fresh_scales()
+        moved = ~np.isclose(fresh, self._scales, rtol=1e-12, atol=0.0)
+        rows = np.nonzero(moved)[0]
+        if rows.size == 0:
+            return WriteReport(0, 0, 0.0, 0.0)
+        self._scales[rows] = fresh[rows]
+        report = self._program_rows(rows)
+        if rows.size == self.n_out:
+            self._full_reprograms += 1
+        return report
 
     def _program_rows(self, rows):
         rows = np.asarray(rows, dtype=int)
@@ -138,7 +213,6 @@ class ReferenceOperator(AnalogMatrixOperator):
             self._coefficients[rows, cols] = values
         if needs_remap:
             self._scales = np.full(self.n_out, scale_after)
-            self._solve_gain_cache = None
             report = self._program_rows(np.arange(self.n_out))
             self._full_reprograms += 1
             return report
@@ -166,7 +240,6 @@ class ReferenceOperator(AnalogMatrixOperator):
             self._scales[rescale_rows] = self.params.g_on / (
                 safe * self.scale_headroom
             )
-            self._solve_gain_cache = None
         if floor_to_representable:
             values = np.maximum(
                 values, self.params.g_off / self._scales[rows]
@@ -207,15 +280,17 @@ def outcome(call):
 def assert_bitwise_equal(op, ref, got, want):
     # repr round-trips floats exactly and tells -0.0 from 0.0.
     assert repr(got) == repr(want)
-    assert repr(op.write_report) == repr(ref.write_report)
-    assert bits(op.array._nominal) == bits(ref.array._nominal)
-    assert bits(op.array._actual) == bits(ref.array._actual)
-    assert np.array_equal(op._floored, ref._floored)
-    assert bits(op._scales) == bits(ref._scales)
-    assert op.full_reprograms == ref.full_reprograms
-    assert op.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert repr(op.write_report) == repr(ref.array.total)
+    assert bits(op.array.nominal_conductances) == bits(ref.array._nominal)
+    assert bits(op.array.actual_conductances) == bits(ref.array._actual)
+    assert np.array_equal(op._stack._floored[0], ref._floored)
+    assert bits(op.scale_vector) == bits(ref._scales)
+    assert op.full_reprograms == ref._full_reprograms
+    assert op.rng.bit_generator.state == ref.array.rng.bit_generator.state
+    # The column-sum cache matches a full canonical reduction.
     assert bits(op.array.nominal_denominators()) == bits(
-        ref.array.nominal_denominators()
+        op.array.g_sense
+        + np.ascontiguousarray(ref.array._nominal.T).sum(axis=1)
     )
 
 
