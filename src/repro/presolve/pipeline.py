@@ -361,6 +361,11 @@ def _collapse_proportional_rows(
     family keeps only the tightest of each; ``lower > upper`` is an
     infeasibility certificate (this is where a planted ``u`` / ``-u``
     contradiction is caught).
+
+    Representatives are taken greedily in row order, and each one tests
+    every later unclaimed row in one array expression; per element the
+    arithmetic is the pairwise rule's (factor, budget, max residual), so
+    the verdicts are bitwise those of a row-by-row scan.
     """
     rows = np.flatnonzero(row_alive)
     cols = np.flatnonzero(col_alive)
@@ -377,20 +382,19 @@ def _collapse_proportional_rows(
         peak = abs(rep[pivot])
         if peak == 0.0:
             continue  # empty row; the row rule owns it
-        members = [p]
-        factors = [1.0]
-        for q in range(p + 1, rows.size):
-            if used[q]:
-                continue
-            factor = sub[q, pivot] / rep[pivot]
-            if factor == 0.0:
-                continue
-            budget = _PROPORTIONAL_RTOL * peak * max(1.0, abs(factor))
-            if np.max(np.abs(sub[q] - factor * rep)) <= budget:
-                members.append(q)
-                factors.append(factor)
-        if len(members) == 1:
+        later = p + 1 + np.flatnonzero(~used[p + 1:])
+        ratios = sub[later, pivot] / rep[pivot]
+        nonzero = ratios != 0.0
+        later, ratios = later[nonzero], ratios[nonzero]
+        budgets = (_PROPORTIONAL_RTOL * peak) * np.maximum(
+            1.0, np.abs(ratios)
+        )
+        residuals = np.abs(sub[later] - ratios[:, None] * rep).max(axis=1)
+        hits = residuals <= budgets
+        if not hits.any():
             continue
+        members = [p, *later[hits].tolist()]
+        factors = [1.0, *ratios[hits]]
         used[members] = True
         uppers = [
             (b[rows[g]] / t, g) for g, t in zip(members, factors) if t > 0.0

@@ -2,10 +2,19 @@
 
 :class:`ConcurrentDispatcher` runs ``config.workers`` threads through
 the service's three scheduler phases.  Dispatch and conclusion happen
-under the service lock (one Condition wraps it, so workers sleep when
-nothing is dispatchable and wake on submits / requeues / completions);
-the solve in between runs lock-free, overlapped across IDLE pool
-members.
+under the service lock; the solve in between runs lock-free, overlapped
+across IDLE pool members.
+
+Wake-up: workers sleep on the service's one condition
+(:attr:`~repro.service.service.SolverService.work_ready`, over the
+service lock) while nothing is dispatchable.  Every event that can
+make work dispatchable notifies it under the lock — an admission
+through ``submit`` / ``try_submit`` from any thread (front-door
+handlers, ``resolve``, chaos queue pulses, the batch producer), a
+conclusion or requeue, a freed in-flight cap, a worker failure, and
+shutdown — so an idle worker picks a job up as soon as the admitting
+thread releases the lock.  The timed wait (:data:`_WAIT_S`) is only a
+safety net against a missed notify, never the path a job takes.
 
 Two executor modes, chosen by ``config.executor``:
 
@@ -65,8 +74,9 @@ from repro.service.service import (
     attempt_energy,
 )
 
-#: How long a worker sleeps waiting for dispatchable work before
-#: rechecking (guards against a missed notify; exits are prompt).
+#: Longest sleep on the service condition before a waiter rechecks.
+#: Every dispatchable event notifies, so this only bounds the cost of
+#: a missed notify; it sets no latency on the normal path.
 _WAIT_S = 0.05
 
 
@@ -185,7 +195,8 @@ class ConcurrentDispatcher:
     One-shot: build, call :meth:`run`, discard.  :meth:`run` must be
     called from a single thread (it doubles as the producer); the
     internal worker threads are an implementation detail.  All shared
-    state below is guarded by the service lock via ``_cond``.
+    state below is guarded by the service lock via ``_cond``, the
+    service's own condition (the dispatcher builds none).
     """
 
     def __init__(self, service: SolverService) -> None:
@@ -193,7 +204,7 @@ class ConcurrentDispatcher:
         config = service.config
         self.workers = config.workers
         self.remote = config.executor == "process"
-        self._cond = threading.Condition(service.lock)
+        self._cond = service.work_ready
         self._inflight: dict[str, int] = {}
         self._inflight_total = 0
         self._records: list[JobRecord] = []
@@ -240,6 +251,9 @@ class ConcurrentDispatcher:
             self._cond.notify_all()
         for thread in self._threads:
             thread.join()
+        # Drop the callback so a finished dispatcher keeps nothing of
+        # its caller alive (a front door hands in its bound method).
+        self._on_record = None
         if self._executor is not None:
             self._executor.shutdown()
         if self._failure is not None:
@@ -275,10 +289,12 @@ class ConcurrentDispatcher:
     ) -> None:
         """Begin draining continuously (the front-door serving mode).
 
-        Workers run until :meth:`stop`, sleeping while the queue is
-        empty and waking on submits from any thread — jobs arrive
-        through ``service.submit`` / ``try_submit`` instead of a specs
-        iterable.  Pair every ``start`` with exactly one ``stop``.
+        Workers run until :meth:`stop`, sleeping on the service
+        condition while the queue is empty; ``service.submit`` /
+        ``try_submit`` (and so ``resolve``) notify it from any thread,
+        so an admitted job is picked up at once instead of a specs
+        iterable feeding it.  Pair every ``start`` with exactly one
+        ``stop``.
         """
         self._on_record = on_record
         self._producing = True
@@ -306,7 +322,6 @@ class ConcurrentDispatcher:
                     if self._failure is not None:
                         return
                     if service.try_submit(spec) is not None:
-                        self._cond.notify_all()
                         break
                     self._cond.wait(timeout=_WAIT_S)
 

@@ -13,15 +13,20 @@ Endpoints (all JSON / JSONL, no dependencies beyond the stdlib):
   JobSpec.to_dict`).  Each line is admitted through ``try_submit``;
   the response body echoes one JSONL ack per line: ``{"job_id": ...,
   "accepted": true}`` or ``{"accepted": false, "error": ...}`` when a
-  bound rejected or the spec failed validation.  Admission control is
-  the service's own: queue depth and per-tenant caps apply unchanged.
+  bound rejected or the line is not a valid spec (bad JSON, a JSON
+  value that is not an object, a failed field check).  Admission
+  control is the service's own: queue depth and per-tenant caps apply
+  unchanged.  A ``Content-Length`` that is not a non-negative integer
+  gets a 400 JSON reply (both POST endpoints).
 - ``POST /resolve`` — body is one :class:`~repro.service.jobs.
   ResolveSpec` per line (``base_job_id`` required): parameter-only
   warm re-solves against an already-submitted job's structure.  Acks
   mirror ``/submit``; a line naming a base job the service never
   admitted is rejected with ``{"accepted": false, "code": 404, ...}``
   (a structured reject, never a connection error), and the response
-  status is 404 when *every* line was an unknown-base reject.
+  status is 404 when *every* line was an unknown-base reject.  A line
+  whose ``b`` / ``c`` do not fit the base problem is rejected before
+  anything is queued.
 - ``GET /stream?since=N&timeout=S`` — completed job records as JSONL,
   each line ``{"seq": i, ...record}`` in completion order.  ``since``
   (default 0) skips records already seen; ``timeout`` (seconds,
@@ -32,11 +37,13 @@ Endpoints (all JSON / JSONL, no dependencies beyond the stdlib):
 - ``GET /healthz`` — liveness plus queue depth and brownout tier.
 
 Thread safety: handler threads touch the service only through its
-thread-safe admission methods; completed records flow through the
-dispatcher's ``on_record`` hook (held under the service lock) into a
-front-door list guarded by its own condition.  The condition is only
-ever acquired *after* the service lock on that path and never the
-other way around, so the two locks cannot deadlock.
+thread-safe admission methods, and each admission wakes an idle
+dispatcher worker through the service's condition; completed records
+flow through the dispatcher's ``on_record`` hook (held under the
+service lock) into a front-door list guarded by the door's own
+condition.  The door's condition is only ever acquired *after* the
+service lock on that path and never the other way around, so the two
+locks cannot deadlock.
 """
 
 from __future__ import annotations
@@ -88,9 +95,10 @@ class FrontDoor:
         self._records: list[JobRecord] = []
         self._cond = threading.Condition()
         self._dispatcher = ConcurrentDispatcher(service)
-        self._server = ThreadingHTTPServer(
-            (host, port), _make_handler(self)
-        )
+        self._server = ThreadingHTTPServer((host, port), _Handler)
+        # The handler reaches the door through its server; stop()
+        # unlinks the two so a stopped door is freed by refcounting.
+        self._server.door = self
         self._thread: threading.Thread | None = None
 
     @property
@@ -134,6 +142,7 @@ class FrontDoor:
         self._server.server_close()
         if self._thread is not None:
             self._thread.join()
+        self._server.door = None
         return self._dispatcher.stop()
 
     def serve_forever(self) -> list[JobRecord]:
@@ -148,203 +157,187 @@ class FrontDoor:
         return self.stop()
 
 
-def _make_handler(door: FrontDoor) -> type:
-    """Build the request-handler class closed over one front door.
+def _spec_from_line(line: str, spec_type: type):
+    """Parse one JSONL line into ``spec_type``; ``ValueError`` /
+    ``TypeError`` for anything that is not a valid spec object."""
+    data = json.loads(line)
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"each line must be a JSON object, got {type(data).__name__}"
+        )
+    if spec_type is JobSpec and data.get("base_job_id") is not None:
+        raise ValueError("re-solve specs go to POST /resolve")
+    return spec_type.from_dict(data)
 
-    ``http.server`` instantiates the handler per request on the
-    server's worker threads; everything shared lives on ``door``.
-    """
 
-    class Handler(BaseHTTPRequestHandler):
-        """Per-request handler; one instance per request, on a stdlib
-        server thread.  All shared state lives on ``door`` and is
-        guarded by the door's condition / the service lock."""
+class _Handler(BaseHTTPRequestHandler):
+    """Per-request handler; one instance per request, on a stdlib
+    server thread.  The front door is ``self.server.door``; all shared
+    state lives there and is guarded by the door's condition / the
+    service lock."""
 
-        def log_message(self, format, *args):  # noqa: A002 - stdlib API
-            """Quiet: no per-request lines on stderr."""
+    def log_message(self, format, *args):  # noqa: A002 - stdlib API
+        """Quiet: no per-request lines on stderr."""
 
-        def _reply(
-            self, status: int, body: bytes, content_type: str
-        ) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    def _reply(self, status: int, body: bytes, content_type: str) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
-        def _reply_json(self, status: int, payload: dict) -> None:
-            self._reply(
-                status,
-                (json.dumps(payload, sort_keys=True) + "\n").encode(),
-                "application/json",
-            )
+    def _reply_json(self, status: int, payload: dict) -> None:
+        self._reply(
+            status,
+            (json.dumps(payload, sort_keys=True) + "\n").encode(),
+            "application/json",
+        )
 
-        def do_GET(self) -> None:  # noqa: D102 - dispatch table below
-            parsed = urlparse(self.path)
-            if parsed.path == "/healthz":
-                self._healthz()
-            elif parsed.path == "/stats":
-                self._stats()
-            elif parsed.path == "/stream":
-                self._stream(parse_qs(parsed.query))
-            else:
-                self._reply_json(404, {"error": "not found"})
+    def do_GET(self) -> None:  # noqa: D102 - dispatch table below
+        parsed = urlparse(self.path)
+        if parsed.path == "/healthz":
+            self._healthz()
+        elif parsed.path == "/stats":
+            self._stats()
+        elif parsed.path == "/stream":
+            self._stream(parse_qs(parsed.query))
+        else:
+            self._reply_json(404, {"error": "not found"})
 
-        def do_POST(self) -> None:  # noqa: D102 - dispatch table below
-            path = urlparse(self.path).path
-            if path == "/submit":
-                self._submit()
-            elif path == "/resolve":
-                self._resolve()
-            else:
-                self._reply_json(404, {"error": "not found"})
+    def do_POST(self) -> None:  # noqa: D102 - dispatch table below
+        path = urlparse(self.path).path
+        if path == "/submit":
+            self._admit_lines(JobSpec)
+        elif path == "/resolve":
+            self._admit_lines(ResolveSpec)
+        else:
+            self._reply_json(404, {"error": "not found"})
 
-        def _healthz(self) -> None:
-            service = door.service
+    def _healthz(self) -> None:
+        door = self.server.door
+        service = door.service
+        self._reply_json(
+            200,
+            {
+                "status": "ok",
+                "queue_depth": len(service.queue),
+                "completed": len(door.records),
+                "tier": int(service.tier),
+            },
+        )
+
+    def _stats(self) -> None:
+        telemetry = self.server.door.service.telemetry
+        if telemetry is None:
             self._reply_json(
-                200,
-                {
-                    "status": "ok",
-                    "queue_depth": len(service.queue),
-                    "completed": len(door.records),
-                    "tier": int(service.tier),
-                },
+                404, {"error": "service has no telemetry attached"}
             )
+            return
+        self._reply_json(
+            200,
+            {
+                "line": telemetry.stats_line(),
+                "jobs": telemetry.jobs,
+                "succeeded": telemetry.succeeded,
+                "energy_j_total": telemetry.energy_j_total,
+                "queue_depth": telemetry.queue_depth,
+            },
+        )
 
-        def _stats(self) -> None:
-            telemetry = door.service.telemetry
-            if telemetry is None:
-                self._reply_json(
-                    404, {"error": "service has no telemetry attached"}
-                )
-                return
+    def _read_body(self) -> str | None:
+        """The request body, or ``None`` after a 400 reply when
+        ``Content-Length`` is not a non-negative integer."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
             self._reply_json(
-                200,
-                {
-                    "line": telemetry.stats_line(),
-                    "jobs": telemetry.jobs,
-                    "succeeded": telemetry.succeeded,
-                    "energy_j_total": telemetry.energy_j_total,
-                    "queue_depth": telemetry.queue_depth,
-                },
+                400,
+                {"error": "Content-Length must be a non-negative integer"},
             )
+            return None
+        return self.rfile.read(length).decode("utf-8", errors="replace")
 
-        def _submit(self) -> None:
-            length = int(self.headers.get("Content-Length", 0))
-            body = self.rfile.read(length).decode("utf-8")
-            acks = []
-            for line in body.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                    if (
-                        isinstance(data, dict)
-                        and data.get("base_job_id") is not None
-                    ):
-                        raise ValueError(
-                            "re-solve specs go to POST /resolve"
-                        )
-                    spec = JobSpec.from_dict(data)
-                except (ValueError, TypeError) as exc:
-                    acks.append(
-                        {"accepted": False, "error": str(exc)}
-                    )
-                    continue
-                pending = door.service.try_submit(spec)
-                if pending is None:
-                    acks.append(
-                        {
-                            "job_id": spec.job_id,
-                            "accepted": False,
-                            "error": "admission rejected (queue or "
-                            "tenant bound)",
-                        }
-                    )
-                else:
-                    acks.append(
-                        {"job_id": spec.job_id, "accepted": True}
-                    )
-            payload = "".join(
-                json.dumps(ack, sort_keys=True) + "\n" for ack in acks
-            )
-            self._reply(200, payload.encode(), "application/jsonl")
-
-        def _resolve(self) -> None:
-            length = int(self.headers.get("Content-Length", 0))
-            body = self.rfile.read(length).decode("utf-8")
-            acks = []
-            for line in body.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    spec = ResolveSpec.from_dict(json.loads(line))
-                except (ValueError, TypeError) as exc:
-                    acks.append({"accepted": False, "error": str(exc)})
-                    continue
-                try:
-                    pending = door.service.try_submit(spec)
-                except UnknownJobError as exc:
-                    # Client error, structured: the caller named a base
-                    # job the service never admitted.
-                    acks.append(
-                        {
-                            "job_id": spec.job_id,
-                            "accepted": False,
-                            "code": 404,
-                            "error": str(exc),
-                        }
-                    )
-                    continue
-                if pending is None:
-                    acks.append(
-                        {
-                            "job_id": spec.job_id,
-                            "accepted": False,
-                            "error": "admission rejected (queue or "
-                            "tenant bound)",
-                        }
-                    )
-                else:
-                    acks.append(
-                        {"job_id": spec.job_id, "accepted": True}
-                    )
-            status = (
-                404
-                if acks and all(ack.get("code") == 404 for ack in acks)
-                else 200
-            )
-            payload = "".join(
-                json.dumps(ack, sort_keys=True) + "\n" for ack in acks
-            )
-            self._reply(status, payload.encode(), "application/jsonl")
-
-        def _stream(self, query: dict) -> None:
+    def _admit_lines(self, spec_type: type) -> None:
+        """``POST /submit`` (``JobSpec`` lines) and ``POST /resolve``
+        (``ResolveSpec`` lines): one ack per non-blank line."""
+        body = self._read_body()
+        if body is None:
+            return
+        service = self.server.door.service
+        acks = []
+        for line in body.splitlines():
+            line = line.strip()
+            if not line:
+                continue
             try:
-                since = int(query.get("since", ["0"])[0])
-                timeout = float(query.get("timeout", ["0"])[0])
-            except ValueError:
-                self._reply_json(
-                    400, {"error": "since/timeout must be numeric"}
+                spec = _spec_from_line(line, spec_type)
+            except (ValueError, TypeError) as exc:
+                acks.append({"accepted": False, "error": str(exc)})
+                continue
+            try:
+                pending = service.try_submit(spec)
+            except UnknownJobError as exc:
+                # Client error, structured: the caller named a base
+                # job the service never admitted.
+                acks.append(
+                    {
+                        "job_id": spec.job_id,
+                        "accepted": False,
+                        "code": 404,
+                        "error": str(exc),
+                    }
                 )
-                return
-            with door._cond:
-                if timeout > 0 and len(door._records) <= since:
-                    door._cond.wait_for(
-                        lambda: len(door._records) > since,
-                        timeout=timeout,
-                    )
-                tail = list(door._records[since:])
-            payload = "".join(
-                json.dumps(
-                    {"seq": since + offset, **record.to_dict()},
-                    sort_keys=True,
+                continue
+            except ValueError as exc:
+                # A resolve whose b / c do not fit its base: rejected
+                # before the queue saw it, so nothing was admitted.
+                acks.append(
+                    {"job_id": spec.job_id, "accepted": False, "error": str(exc)}
                 )
-                + "\n"
-                for offset, record in enumerate(tail)
-            )
-            self._reply(200, payload.encode(), "application/jsonl")
+                continue
+            if pending is None:
+                acks.append(
+                    {
+                        "job_id": spec.job_id,
+                        "accepted": False,
+                        "error": "admission rejected (queue or tenant bound)",
+                    }
+                )
+            else:
+                acks.append({"job_id": spec.job_id, "accepted": True})
+        status = (
+            404
+            if acks and all(ack.get("code") == 404 for ack in acks)
+            else 200
+        )
+        payload = "".join(
+            json.dumps(ack, sort_keys=True) + "\n" for ack in acks
+        )
+        self._reply(status, payload.encode(), "application/jsonl")
 
-    return Handler
+    def _stream(self, query: dict) -> None:
+        try:
+            since = int(query.get("since", ["0"])[0])
+            timeout = float(query.get("timeout", ["0"])[0])
+        except ValueError:
+            self._reply_json(400, {"error": "since/timeout must be numeric"})
+            return
+        door = self.server.door
+        with door._cond:
+            if timeout > 0 and len(door._records) <= since:
+                door._cond.wait_for(
+                    lambda: len(door._records) > since,
+                    timeout=timeout,
+                )
+            tail = list(door._records[since:])
+        payload = "".join(
+            json.dumps(
+                {"seq": since + offset, **record.to_dict()},
+                sort_keys=True,
+            )
+            + "\n"
+            for offset, record in enumerate(tail)
+        )
+        self._reply(200, payload.encode(), "application/jsonl")

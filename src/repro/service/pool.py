@@ -204,16 +204,22 @@ class CrossbarPool:
         self.on_breaker_transition = on_breaker_transition
         if breaker is not None:
             for member in self.members:
-                member.breaker = CircuitBreaker(
-                    breaker,
-                    on_transition=self._breaker_transition_hook(
-                        member.member_id
-                    ),
-                )
+                member.breaker = CircuitBreaker(breaker)
 
-    def _breaker_transition_hook(self, member_id: int):
-        def hook(old: BreakerState, new: BreakerState, tick: int) -> None:
-            """Count and trace one breaker transition (lock held)."""
+    def _breaker_call(
+        self, member: PoolMember, call: Callable[[int], object], tick: int
+    ):
+        """Run one breaker method at ``tick`` and emit the transition
+        it made, if any (lock held).
+
+        The pool emits after the call instead of handing each breaker
+        a callback closed over the pool, which would make every
+        pool -> member -> breaker chain a reference cycle.
+        """
+        transitions = member.breaker.transitions
+        seen = len(transitions)
+        outcome = call(tick)
+        for at, old, new in transitions[seen:]:
             if new is BreakerState.OPEN:
                 name = (
                     "pool.breaker.reopened"
@@ -226,14 +232,14 @@ class CrossbarPool:
                 name = "pool.breaker.closed"
             self.tracer.count(name)
             self.tracer.gauge(
-                f"pool.breaker.state.{member_id}", BREAKER_STATE_GAUGE[new]
+                f"pool.breaker.state.{member.member_id}",
+                BREAKER_STATE_GAUGE[new],
             )
             if self.on_breaker_transition is not None:
                 self.on_breaker_transition(
-                    member_id, old.value, new.value, tick
+                    member.member_id, old.value, new.value, at
                 )
-
-        return hook
+        return outcome
 
     # -- placement -----------------------------------------------------------
 
@@ -359,7 +365,9 @@ class CrossbarPool:
                 MemberState.IDLE,
             ):
                 continue
-            if member.breaker is not None and not member.breaker.allow(tick):
+            if member.breaker is not None and not self._breaker_call(
+                member, member.breaker.allow, tick
+            ):
                 self.tracer.count("pool.breaker.rejections")
                 continue
             candidates.append(member)
@@ -424,12 +432,14 @@ class CrossbarPool:
         replay (wall-clock is not).  Atomic under the pool lock.
         """
         with self._lock:
-            if member.breaker is None:
+            breaker = member.breaker
+            if breaker is None:
                 return
-            if success:
-                member.breaker.record_success(self._acquires)
-            else:
-                member.breaker.record_failure(self._acquires)
+            self._breaker_call(
+                member,
+                breaker.record_success if success else breaker.record_failure,
+                self._acquires,
+            )
 
     # -- health --------------------------------------------------------------
 

@@ -46,7 +46,7 @@ import enum
 import hashlib
 import json
 import pathlib
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.obs.clock import Deadline
 from repro.obs.tracer import NOOP, Tracer
@@ -87,17 +87,17 @@ class BackoffPolicy:
     and job stream compute identical delays, but two jobs failing at
     the same instant back off differently (no retry stampede).
 
-    ``sleep=False`` (the default) only *accounts* the delay — it is
-    stamped on the attempt record and the ``service.backoff_seconds``
-    counter — without stalling the simulation; set ``sleep=True`` when
-    fronting real traffic.
+    The service only *accounts* the delay — it is stamped on the
+    attempt record and the ``service.backoff_seconds`` counter — and
+    never sleeps it: the requeue happens under the service lock, where
+    a sleep would stall admission, the front door and every other
+    worker.
     """
 
     base_s: float = 0.05
     multiplier: float = 2.0
     max_s: float = 2.0
     jitter: float = 0.5
-    sleep: bool = False
 
     def __post_init__(self) -> None:
         if self.base_s <= 0:
@@ -171,26 +171,19 @@ class BreakerPolicy:
 class CircuitBreaker:
     """One member's breaker; the pool drives it from placement results.
 
-    ``on_transition(old, new, tick)`` fires on every state change so
-    the pool can emit ``pool.breaker.*`` counters and state gauges;
-    :attr:`transitions` keeps the full ``(tick, old, new)`` history for
-    span-replay reconciliation.
+    :attr:`transitions` keeps the full ``(tick, old, new)`` history:
+    the pool emits ``pool.breaker.*`` counters and state gauges for
+    the entries each of its breaker calls appends, and span replay
+    reconciles against it.  The breaker holds no callback, so it keeps
+    nothing of its pool alive.
     """
 
-    def __init__(
-        self,
-        policy: BreakerPolicy,
-        *,
-        on_transition: (
-            Callable[[BreakerState, BreakerState, int], None] | None
-        ) = None,
-    ) -> None:
+    def __init__(self, policy: BreakerPolicy) -> None:
         self.policy = policy
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_tick: int | None = None
         self._half_open_successes = 0
-        self._on_transition = on_transition
         self.transitions: list[tuple[int, BreakerState, BreakerState]] = []
 
     def _move(self, new: BreakerState, tick: int) -> None:
@@ -199,8 +192,6 @@ class CircuitBreaker:
             return
         self.state = new
         self.transitions.append((tick, old, new))
-        if self._on_transition is not None:
-            self._on_transition(old, new, tick)
 
     def allow(self, tick: int) -> bool:
         """Whether a placement may land on this member at ``tick``.

@@ -532,7 +532,9 @@ class SolverService:
     is driven either by the single serial caller or by dispatcher
     workers that hold :attr:`lock` around the scheduler phases.  The
     pool shares this same lock, so pool transitions, queue decisions,
-    and tracer emission all serialize together.
+    and tracer emission all serialize together; :attr:`work_ready` is
+    the one condition over it, so an admission from any thread wakes
+    an idle dispatcher worker at once.
     """
 
     def __init__(
@@ -551,6 +553,12 @@ class SolverService:
         #: conclusion, pool transitions, and all service-tracer
         #: emission happen under it.  Solves never hold it.
         self.lock = threading.RLock()
+        #: The one condition over :attr:`lock`, notified (lock held)
+        #: whenever work may have become dispatchable: admission here;
+        #: conclusion, requeue, a freed in-flight cap, a worker failure
+        #: and shutdown in the dispatcher.  Dispatcher workers and the
+        #: backpressured producer sleep on it.
+        self.work_ready = threading.Condition(self.lock)
         self.pool = CrossbarPool(
             self.config.pool_size,
             probe=self.config.probe,
@@ -606,29 +614,31 @@ class SolverService:
 
         Accepts :class:`~repro.service.jobs.ResolveSpec` too — a
         resolve whose ``base_job_id`` was never admitted raises
-        :class:`~repro.exceptions.UnknownJobError`.  Thread-safe
-        (atomic under the service lock); the front door calls it from
-        handler threads.
+        :class:`~repro.exceptions.UnknownJobError`, and one whose
+        ``b`` / ``c`` do not fit the base problem raises
+        ``ValueError``; either way nothing is queued.  An admitted job
+        wakes an idle dispatcher worker.  Thread-safe (atomic under the
+        service lock); the front door calls it from handler threads.
         """
         with self.lock:
-            spec = self._normalize(spec)
+            spec, problem = self._normalize(spec)
             pending = self.queue.submit(spec)
-            self._admit(pending)
+            self._admit(pending, problem)
             return pending
 
     def try_submit(self, spec: JobSpec | ResolveSpec) -> PendingJob | None:
         """Non-raising :meth:`submit`; ``None`` when a bound rejects.
 
-        An unknown ``base_job_id`` on a resolve still raises
-        :class:`~repro.exceptions.UnknownJobError` — that is a client
-        error, not admission backpressure.  Thread-safe (atomic under
-        the service lock).
+        An unknown ``base_job_id`` (or a wrongly shaped ``b`` / ``c``)
+        on a resolve still raises, as in :meth:`submit` — that is a
+        client error, not admission backpressure.  Thread-safe (atomic
+        under the service lock).
         """
         with self.lock:
-            spec = self._normalize(spec)
+            spec, problem = self._normalize(spec)
             pending = self.queue.try_submit(spec)
             if pending is not None:
-                self._admit(pending)
+                self._admit(pending, problem)
             return pending
 
     def resolve(
@@ -657,8 +667,10 @@ class SolverService:
         warm-starts the PDIP iterates from the base's stored optimum.
 
         Raises :class:`~repro.exceptions.UnknownJobError` for an
-        unknown base and :class:`~repro.exceptions.QueueFullError` at
-        the admission bound.
+        unknown base, ``ValueError`` when ``new_b`` / ``new_c`` do not
+        fit the base problem, and
+        :class:`~repro.exceptions.QueueFullError` at the admission
+        bound.
         """
         with self.lock:
             base = self._catalog.get(base_job_id)
@@ -696,44 +708,53 @@ class SolverService:
             )
             return self.submit(spec)
 
-    def _normalize(self, spec: JobSpec | ResolveSpec):
-        """Inherit a resolve's structural fields from its base spec.
+    def _normalize(
+        self, spec: JobSpec | ResolveSpec
+    ) -> tuple[JobSpec | ResolveSpec, LinearProgram | None]:
+        """Check a spec before admission; returns ``(spec, problem)``.
 
-        A :class:`ResolveSpec` may arrive from a JSONL line carrying
-        default (or stale) structure fields; the admitted spec always
-        takes ``constraints`` / ``group`` / ``kind`` / ``variation``
-        from the base job so it can never name a structure other than
-        the one whose array it reuses.  Raises
+        A plain :class:`JobSpec` passes through with no problem (it is
+        built at admission or first dispatch).  A :class:`ResolveSpec`
+        may arrive from a JSONL line carrying default (or stale)
+        structure fields; the admitted spec always takes
+        ``constraints`` / ``group`` / ``kind`` / ``variation`` from the
+        base job so it can never name a structure other than the one
+        whose array it reuses, and its problem is built here, before
+        the queue sees the job.  Raises
         :class:`~repro.exceptions.UnknownJobError` when the base was
-        never admitted.  Caller holds the service lock.
+        never admitted and ``ValueError`` when ``b`` / ``c`` do not fit
+        the base problem.  Caller holds the service lock.
         """
         if not isinstance(spec, ResolveSpec):
-            return spec
+            return spec, None
         base = self._catalog.get(spec.base_job_id)
         if base is None:
             raise UnknownJobError(
                 f"resolve {spec.job_id!r} names unknown base job "
                 f"{spec.base_job_id!r}"
             )
-        return dataclasses.replace(
+        spec = dataclasses.replace(
             spec,
             constraints=base.constraints,
             group=base.group,
             kind=base.kind,
             variation=base.variation,
         )
+        problem = build_resolve_problem(
+            spec, self._problem_for(spec.base_job_id), self.config.base_seed
+        )
+        return spec, problem
 
-    def _admit(self, pending: PendingJob) -> None:
-        """Post-admission bookkeeping shared by both submit paths."""
+    def _admit(
+        self, pending: PendingJob, problem: LinearProgram | None
+    ) -> None:
+        """Post-admission bookkeeping shared by both submit paths; ends
+        by waking the dispatcher (caller holds the service lock)."""
         pending.submitted_s = self.clock()
         spec = pending.spec
         self._catalog[spec.job_id] = spec
         if isinstance(spec, ResolveSpec):
-            pending.problem = build_resolve_problem(
-                spec,
-                self._problem_for(spec.base_job_id),
-                self.config.base_seed,
-            )
+            pending.problem = problem
             self.tracer.count("service.resolve.submitted")
         self._stamp_fingerprint(pending)
         if pending.problem is not None:
@@ -741,6 +762,7 @@ class SolverService:
         self.tracer.count("service.jobs_submitted")
         if self.telemetry is not None:
             self.telemetry.on_submit(pending.spec)
+        self.work_ready.notify_all()
 
     def _problem_for(self, job_id: str) -> LinearProgram:
         """The materialized problem of an admitted job (memoized).
@@ -1388,12 +1410,6 @@ class SolverService:
 
         if will_requeue:
             self.tracer.count("service.requeues")
-            if (
-                config.backoff is not None
-                and config.backoff.sleep
-                and backoff_s > 0
-            ):
-                time.sleep(backoff_s)
             self.queue.requeue(pending)
             return None
 

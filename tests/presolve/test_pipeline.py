@@ -13,6 +13,8 @@ The contract under test (see ``repro.presolve.pipeline``):
   ``FailureReason.INFEASIBLE_PRESOLVE`` provenance.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.presolve import (
     PresolveStatus,
     coefficient_decades,
     detect_infeasible,
+    pipeline,
     presolve,
 )
 from repro.workloads import random_feasible_lp, random_infeasible_lp
@@ -295,3 +298,147 @@ class TestReportSerialization:
         assert np.array_equal(first.problem.A, second.problem.A)
         assert np.array_equal(first.row_scale, second.row_scale)
         assert np.array_equal(first.col_scale, second.col_scale)
+
+
+def pairwise_collapse(A, b, row_alive, col_alive, counts):
+    """The proportional-row rule as a row-by-row pair scan: the
+    reference the vectorized rule must match bit for bit."""
+    rows = np.flatnonzero(row_alive)
+    cols = np.flatnonzero(col_alive)
+    if rows.size < 2 or cols.size == 0:
+        return False, None
+    sub = A[np.ix_(rows, cols)]
+    changed = False
+    used = np.zeros(rows.size, dtype=bool)
+    for p in range(rows.size):
+        if used[p]:
+            continue
+        rep = sub[p]
+        pivot = int(np.argmax(np.abs(rep)))
+        peak = abs(rep[pivot])
+        if peak == 0.0:
+            continue
+        members = [p]
+        factors = [1.0]
+        for q in range(p + 1, rows.size):
+            if used[q]:
+                continue
+            factor = sub[q, pivot] / rep[pivot]
+            if factor == 0.0:
+                continue
+            budget = pipeline._PROPORTIONAL_RTOL * peak * max(1.0, abs(factor))
+            if np.max(np.abs(sub[q] - factor * rep)) <= budget:
+                members.append(q)
+                factors.append(factor)
+        if len(members) == 1:
+            continue
+        used[members] = True
+        uppers = [
+            (b[rows[g]] / t, g) for g, t in zip(members, factors) if t > 0.0
+        ]
+        lowers = [
+            (b[rows[g]] / t, g) for g, t in zip(members, factors) if t < 0.0
+        ]
+        keep = set()
+        upper = lower = None
+        if uppers:
+            upper = min(uppers, key=lambda v: (v[0], rows[v[1]]))
+            keep.add(upper[1])
+        if lowers:
+            lower = max(lowers, key=lambda v: (v[0], -rows[v[1]]))
+            keep.add(lower[1])
+        if upper is not None and lower is not None and lower[0] > upper[0]:
+            return changed, (
+                f"rows {rows[lower[1]]} and {rows[upper[1]]} are "
+                f"proportional with an empty bound interval "
+                f"({lower[0]:.6g} > {upper[0]:.6g})"
+            )
+        for g in members:
+            if g not in keep:
+                row_alive[rows[g]] = False
+                counts.duplicate_rows += 1
+                changed = True
+    return changed, None
+
+
+#: Planted factors: both signs, extreme magnitudes, and powers of two
+#: (whose multiples are exact, so a budget-sized offset on a zero entry
+#: lands exactly on the tolerance edge).
+FACTORS = st.one_of(
+    st.sampled_from([1.0, -1.0, -0.5, 1e9, -1e9, 1e-9, -1e-9]),
+    st.builds(
+        lambda sign, power: sign * 2.0**power,
+        st.sampled_from([1.0, -1.0]),
+        st.integers(-30, 30),
+    ),
+    st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: abs(v) > 1e-12),
+)
+#: How a planted row departs from an exact multiple, as a multiple of
+#: the rule's tolerance budget: 0 (exact), inside, on the edge, just
+#: outside, and far outside.
+OFFSETS = st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e6])
+
+
+@st.composite
+def proportional_families(draw):
+    """``(A, b, row_alive, col_alive)`` with planted proportional rows.
+
+    A few random base rows (some entries zero), then rows that are
+    multiples of them, some pushed off by a multiple of the tolerance
+    budget (on a zero entry when there is one), shuffled, with random
+    dead rows and columns.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    base = rng.uniform(-2.0, 2.0, (draw(st.integers(1, 5)), n))
+    base[rng.random(base.shape) < 0.3] = 0.0
+    rows = list(base)
+    plants = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(base) - 1), FACTORS, OFFSETS),
+            max_size=10,
+        )
+    )
+    for source, factor, offset in plants:
+        row = factor * base[source]
+        peak = np.max(np.abs(base[source]))
+        budget = pipeline._PROPORTIONAL_RTOL * peak * max(1.0, abs(factor))
+        zeros = np.flatnonzero(row == 0.0)
+        row[zeros[0] if zeros.size else rng.integers(n)] += offset * budget
+        rows.append(row)
+    A = np.array(rows)[rng.permutation(len(rows))]
+    b = rng.uniform(-3.0, 3.0, len(rows))
+    row_alive = rng.random(len(rows)) < 0.9
+    col_alive = rng.random(n) < 0.9
+    return A, b, row_alive, col_alive
+
+
+class TestProportionalRowsVectorized:
+    @given(proportional_families())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_scan(self, case):
+        A, b, row_alive, col_alive = case
+
+        def run(rule):
+            alive = row_alive.copy()
+            counts = pipeline._Counts()
+            changed, certificate = rule(A, b, alive, col_alive.copy(), counts)
+            return alive.tolist(), counts.duplicate_rows, changed, certificate
+
+        assert run(pipeline._collapse_proportional_rows) == run(
+            pairwise_collapse
+        )
+
+    @given(proportional_families())
+    @settings(max_examples=100, deadline=None)
+    def test_presolve_identical_to_pairwise_scan(self, case):
+        A, b, _, _ = case
+        problem = LinearProgram(c=np.linspace(-1.0, 1.0, A.shape[1]), A=A, b=b)
+        vectorized = presolve(problem)
+        with mock.patch.object(
+            pipeline, "_collapse_proportional_rows", pairwise_collapse
+        ):
+            reference = presolve(problem)
+        assert vectorized.to_dict() == reference.to_dict()
+        if reference.problem is not None:
+            assert vectorized.problem.A.tobytes() == reference.problem.A.tobytes()

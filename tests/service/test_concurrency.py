@@ -2,9 +2,11 @@
 
 import json
 import threading
+import time
 
 import pytest
 
+import repro.service.dispatch
 from repro.obs import RecordingTracer
 from repro.service import (
     ConcurrentDispatcher,
@@ -265,6 +267,58 @@ class TestConcurrentDispatch:
         assert {r.spec.job_id for r in records} == {
             f"job-{i:04d}" for i in range(4)
         }
+
+
+class TestWakeOnAdmission:
+    """Admission from any thread wakes an idle worker at once; the
+    dispatcher's timed wait is only a missed-notify safety net."""
+
+    @pytest.mark.parametrize("entry", ["submit", "try_submit", "resolve"])
+    def test_admission_wakes_idle_worker(self, monkeypatch, entry):
+        monkeypatch.setattr(repro.service.dispatch, "_WAIT_S", 30.0)
+        service = SolverService(
+            ServiceConfig(pool_size=1, base_seed=7, workers=1)
+        )
+        arrived = threading.Event()
+        records = []
+
+        def on_record(record):
+            records.append(record.spec.job_id)
+            arrived.set()
+
+        if entry == "resolve":
+            # The base is admitted before the dispatcher starts, so the
+            # worker finds it on its first look.
+            service.submit(JobSpec(job_id="base", constraints=8))
+        dispatcher = ConcurrentDispatcher(service)
+        dispatcher.start(on_record=on_record)
+        try:
+            if entry == "resolve":
+                assert arrived.wait(timeout=30)
+                arrived.clear()
+            time.sleep(0.2)  # let the worker go idle on the condition
+            admit = {
+                "submit": lambda: service.submit(
+                    JobSpec(job_id="late", constraints=8)
+                ),
+                "try_submit": lambda: service.try_submit(
+                    JobSpec(job_id="late", constraints=8)
+                ),
+                "resolve": lambda: service.resolve(
+                    "base", job_id="late", perturb=0.02
+                ),
+            }[entry]
+            submitter = threading.Thread(target=admit)
+            submitter.start()
+            submitter.join()
+            assert arrived.wait(timeout=5), "worker slept through admission"
+        finally:
+            dispatcher.stop()
+        assert records[-1] == "late"
+
+    def test_dispatcher_builds_no_condition_of_its_own(self):
+        service = SolverService(ServiceConfig(workers=2))
+        assert ConcurrentDispatcher(service)._cond is service.work_ready
 
 
 class TestSerialReplayContract:

@@ -1,10 +1,15 @@
 """Tests for the JSONL-over-HTTP front door."""
 
+import gc
+import http.client
 import json
+import time
 import urllib.request
+import weakref
 
 import pytest
 
+import repro.service.dispatch
 from repro.service import (
     FrontDoor,
     ServiceConfig,
@@ -59,6 +64,10 @@ class TestSubmit:
             b'{"job_id": "good", "constraints": 8}\n'
             b'{"job_id": "", "constraints": 8}\n'
             b"not json at all\n"
+            b"[1, 2]\n"
+            b"null\n"
+            b"3\n"
+            b'{"job_id": "also-good", "constraints": 8}\n'
         )
         request = urllib.request.Request(
             url(door, "/submit"), data=body, method="POST"
@@ -68,8 +77,10 @@ class TestSubmit:
                 json.loads(line)
                 for line in response.read().decode().splitlines()
             ]
-        assert [ack["accepted"] for ack in acks] == [True, False, False]
-        assert "error" in acks[1] and "error" in acks[2]
+        assert [ack["accepted"] for ack in acks] == [
+            True, False, False, False, False, False, True,
+        ]
+        assert all("error" in ack for ack in acks[1:6])
 
     def test_unknown_path_is_404(self, door):
         request = urllib.request.Request(
@@ -152,6 +163,56 @@ class TestResolveEndpoint:
         assert acks[1]["code"] == 404
         assert "error" in acks[2]
 
+    def test_invalid_line_rejected_not_fatal(self, door):
+        (base_spec,) = synthesize_jobs(1, constraints=8)
+        post_jobs(door, [base_spec])
+        good = json.dumps(
+            {"job_id": "step-0", "base_job_id": base_spec.job_id}
+        ).encode()
+        body = (
+            b'{"job_id": "", "base_job_id": "job-0000"}\n'
+            b"not json at all\n"
+            b"[1, 2]\n"
+            b"null\n"
+            b"3\n" + good + b"\n"
+        )
+        status, acks = post_lines(door, "/resolve", body)
+        assert status == 200
+        assert [ack["accepted"] for ack in acks] == [
+            False, False, False, False, False, True,
+        ]
+        assert all("error" in ack for ack in acks[:5])
+
+    def test_wrong_shape_resolve_rejected_with_nothing_queued(self, door):
+        (base_spec,) = synthesize_jobs(1, constraints=8)
+        post_jobs(door, [base_spec])
+        bad = {
+            "job_id": "bad-shape",
+            "base_job_id": base_spec.job_id,
+            "b": [1.0, 2.0],
+        }
+        good = {"job_id": "good-step", "base_job_id": base_spec.job_id}
+        body = (json.dumps(bad) + "\n" + json.dumps(good) + "\n").encode()
+        status, acks = post_lines(door, "/resolve", body)
+        assert status == 200
+        assert [ack["accepted"] for ack in acks] == [False, True]
+        assert acks[0]["job_id"] == "bad-shape"
+        assert "shape" in acks[0]["error"]
+        collected = {}
+        while len(collected) < 2:
+            with urllib.request.urlopen(
+                url(door, f"/stream?since={len(collected)}&timeout=30")
+            ) as response:
+                for line in response.read().decode().splitlines():
+                    record = json.loads(line)
+                    collected[record["job_id"]] = record
+        assert set(collected) == {base_spec.job_id, "good-step"}
+        service = door.service
+        assert len(service.queue) == 0
+        assert "bad-shape" not in service._catalog
+        registry = service.telemetry.registry
+        assert registry.counter_value("service.jobs_submitted") == 2.0
+
     def test_submit_rejects_resolve_lines(self, door):
         body = b'{"job_id": "r0", "base_job_id": "whatever"}\n'
         status, acks = post_lines(door, "/submit", body)
@@ -159,6 +220,33 @@ class TestResolveEndpoint:
         (ack,) = acks
         assert ack["accepted"] is False
         assert "/resolve" in ack["error"]
+
+
+def raw_post(door, path, length_header, body=b""):
+    """POST with a hand-written ``Content-Length``; returns the reply."""
+    connection = http.client.HTTPConnection(*door.address, timeout=5)
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Length", length_header)
+        connection.endheaders()
+        if body:
+            connection.send(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("path", ["/submit", "/resolve"])
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
+    def test_bad_content_length_is_400(self, door, path, length):
+        status, payload = raw_post(door, path, length, b"{}\n")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        # The door keeps serving.
+        acks = post_jobs(door, synthesize_jobs(1, constraints=8))
+        assert acks[0]["accepted"]
 
 
 class TestStream:
@@ -218,6 +306,51 @@ class TestLifecycle:
         assert {record.spec.job_id for record in records} == {
             f"job-{i:04d}" for i in range(6)
         }
+
+    def test_idle_door_wakes_on_submit(self, monkeypatch):
+        # A 30 s safety-net poll: only the admission notify can deliver
+        # the record inside the 5 s long-poll.
+        monkeypatch.setattr(repro.service.dispatch, "_WAIT_S", 30.0)
+        config = ServiceConfig(pool_size=1, base_seed=7, workers=1)
+        door = FrontDoor(SolverService(config))
+        door.start()
+        try:
+            time.sleep(0.2)  # let the worker go idle on the condition
+            acks = post_jobs(door, synthesize_jobs(1, constraints=8))
+            assert acks[0]["accepted"]
+            with urllib.request.urlopen(
+                url(door, "/stream?since=0&timeout=5")
+            ) as response:
+                lines = response.read().decode().splitlines()
+            assert [json.loads(line)["job_id"] for line in lines] == [
+                "job-0000"
+            ]
+        finally:
+            door.stop()
+
+    def test_stopped_door_is_freed_by_refcounting(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            service = SolverService(
+                ServiceConfig(pool_size=2, base_seed=7, workers=1),
+                telemetry=ServiceTelemetry(),
+            )
+            assert service.pool.members[0].breaker is not None
+            door = FrontDoor(service)
+            door.start()
+            post_jobs(door, synthesize_jobs(1, constraints=8))
+            with urllib.request.urlopen(
+                url(door, "/stream?since=0&timeout=30")
+            ) as response:
+                assert response.read()
+            assert len(door.stop()) == 1
+            refs = [weakref.ref(obj) for obj in (door, service, service.pool)]
+            del door, service
+            assert [ref() is None for ref in refs] == [True, True, True]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_port_zero_binds_ephemeral(self, door):
         host, port = door.address

@@ -153,6 +153,23 @@ class TestResolveApi:
                 ResolveSpec(job_id="r2", base_job_id="nope")
             )
 
+    def test_wrong_shape_parameters_rejected_before_queueing(self):
+        service = make_service()
+        service.submit(JobSpec(job_id="plant", constraints=12))
+        submitted = service.tracer.counters["service.jobs_submitted"]
+        with pytest.raises(ValueError, match="shape"):
+            service.resolve("plant", new_b=[1.0, 2.0], job_id="bad-b")
+        with pytest.raises(ValueError, match="shape"):
+            service.try_submit(
+                ResolveSpec(job_id="bad-c", base_job_id="plant", c=(1.0,))
+            )
+        # Nothing of either reject was queued, cataloged, or counted.
+        assert len(service.queue) == 1
+        assert "bad-b" not in service._catalog
+        assert "bad-c" not in service._catalog
+        assert service.tracer.counters["service.jobs_submitted"] == submitted
+        assert [r.spec.job_id for r in service.drain()] == ["plant"]
+
     def test_chained_resolve_of_a_resolve(self):
         service = make_service()
         service.submit(JobSpec(job_id="j0", constraints=12))
