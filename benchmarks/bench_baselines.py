@@ -1,18 +1,17 @@
 """Complexity comparison of the solving substrates (Section 3.5).
 
 The paper's complexity table: per PDIP iteration, a software direct
-solve costs O(N^3), an iterative (Gauss-Seidel) sweep O(N^2), and the
-crossbar O(N) (only the coefficient writes scale with N; the analog
-evaluation is O(1)).  This bench measures the software baselines'
-wall-clock scaling and the crossbar's *modeled* per-iteration cost
-side by side.
+solve costs O(N^3) and the crossbar O(N) (only the coefficient writes
+scale with N; the analog evaluation is O(1)).  This bench measures
+the software baselines' wall-clock scaling and the crossbar's
+*modeled* per-iteration cost side by side.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import render_table
-from repro.baselines import gauss_seidel, solve_simplex
+from repro.baselines import solve_simplex
 from repro.costmodel import estimate_latency
 from repro.experiments import settings_for, solver_for
 from repro.workloads import random_feasible_lp
@@ -31,15 +30,6 @@ def test_dense_lu_solve(benchmark, n):
     A, b = dominant_system(rng, n)
     x = benchmark(np.linalg.solve, A, b)
     np.testing.assert_allclose(A @ x, b, rtol=1e-8)
-
-
-@pytest.mark.benchmark(group="baselines-linear-solve")
-@pytest.mark.parametrize("n", [64, 256])
-def test_gauss_seidel_solve(benchmark, n):
-    rng = np.random.default_rng(0)
-    A, b = dominant_system(rng, n)
-    result = benchmark(gauss_seidel, A, b)
-    assert result.converged
 
 
 @pytest.mark.benchmark(group="baselines-simplex")

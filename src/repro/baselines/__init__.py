@@ -1,10 +1,5 @@
-"""Software comparators: simplex, iterative linear solvers, scipy."""
+"""Software comparators: simplex and scipy."""
 
-from repro.baselines.gauss_seidel import (
-    IterativeSolveResult,
-    gauss_seidel,
-    jacobi,
-)
 from repro.baselines.scipy_linprog import solve_scipy, timed_solve_scipy
 from repro.baselines.simplex import solve_simplex
 
@@ -12,7 +7,4 @@ __all__ = [
     "solve_simplex",
     "solve_scipy",
     "timed_solve_scipy",
-    "jacobi",
-    "gauss_seidel",
-    "IterativeSolveResult",
 ]

@@ -6,11 +6,7 @@ from repro.costmodel.cpu import (
     linprog_latency,
     software_pdip_latency,
 )
-from repro.costmodel.energy import (
-    EnergyBreakdown,
-    estimate_energy,
-    estimate_energy_from_counts,
-)
+from repro.costmodel.energy import EnergyBreakdown, estimate_energy
 from repro.costmodel.latency import LatencyBreakdown, estimate_latency
 from repro.costmodel.parameters import (
     DEFAULT_COST_MODEL,
@@ -28,7 +24,6 @@ __all__ = [
     "estimate_latency",
     "EnergyBreakdown",
     "estimate_energy",
-    "estimate_energy_from_counts",
     "linprog_latency",
     "software_pdip_latency",
     "cpu_energy",

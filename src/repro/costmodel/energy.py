@@ -39,53 +39,6 @@ class EnergyBreakdown:
         )
 
 
-def estimate_energy_from_counts(
-    *,
-    multiplies: float,
-    solves: float,
-    cells_written: float,
-    write_energy_j: float,
-    array_size: int,
-    iterations: int,
-    device: DeviceParameters,
-    model: CostModelParameters = DEFAULT_COST_MODEL,
-    cell_density: float = 0.25,
-) -> EnergyBreakdown:
-    """Price raw operation counts with the device/periphery model.
-
-    The counters-first form of :func:`estimate_energy`: the serving
-    layer calls it per job attempt with totals read off the attempt's
-    tracer (``analog.multiplies``, ``analog.solves``,
-    ``crossbar.cells_written``, ``crossbar.write_energy_j``), so a
-    cold placement's full structural program is charged to the job
-    that caused it — the attribution the per-result API cannot see.
-
-    ``write_energy_j`` is the physically-accumulated programming
-    energy (the array simulator integrates it pulse by pulse); the
-    other three phases are modeled from the counts, exactly as the
-    Fig. 7 sweep does.
-    """
-    if not 0.0 < cell_density <= 1.0:
-        raise ValueError("cell_density must lie in (0, 1]")
-    peri = model.peripherals
-    evaluations = multiplies + solves
-    active_cells = cell_density * array_size**2
-    analog = evaluations * active_cells * device.read_energy_per_cell
-    conversion = evaluations * array_size * (
-        peri.dac_energy_j + peri.adc_energy_j
-    )
-    digital = (
-        cells_written * peri.digital_op_energy_j
-        + iterations * array_size * peri.summing_amp_energy_j
-    )
-    return EnergyBreakdown(
-        write_j=write_energy_j,
-        analog_j=analog,
-        conversion_j=conversion,
-        digital_j=digital,
-    )
-
-
 def estimate_energy(
     result: SolverResult,
     device: DeviceParameters,
@@ -118,14 +71,21 @@ def estimate_energy(
     counters = result.crossbar
     if counters is None:
         raise ValueError("result carries no crossbar counters")
-    return estimate_energy_from_counts(
-        multiplies=counters.multiplies,
-        solves=counters.solves,
-        cells_written=counters.cells_written,
-        write_energy_j=counters.write_energy_j,
-        array_size=counters.array_size,
-        iterations=result.iterations,
-        device=device,
-        model=model,
-        cell_density=cell_density,
+    if not 0.0 < cell_density <= 1.0:
+        raise ValueError("cell_density must lie in (0, 1]")
+    peri = model.peripherals
+    size = counters.array_size
+    evaluations = counters.multiplies + counters.solves
+    active_cells = cell_density * size**2
+    analog = evaluations * active_cells * device.read_energy_per_cell
+    conversion = evaluations * size * (peri.dac_energy_j + peri.adc_energy_j)
+    digital = (
+        counters.cells_written * peri.digital_op_energy_j
+        + result.iterations * size * peri.summing_amp_energy_j
+    )
+    return EnergyBreakdown(
+        write_j=counters.write_energy_j,
+        analog_j=analog,
+        conversion_j=conversion,
+        digital_j=digital,
     )

@@ -27,10 +27,20 @@ Two executor modes, chosen by ``config.executor``:
   :class:`~concurrent.futures.ProcessPoolExecutor` via
   :func:`_remote_attempt`: the parent *reserves* a pool member
   (select + mark BUSY, no programming), the child programs-or-adopts
-  the operator, solves, and returns (result, trace events, operator
-  state, write counts); the parent *installs* the returned state and
-  concludes.  True parallel solves — this is the mode the sustained-
-  load benchmark scales with.
+  the operator, runs the same attempt body as the thread path
+  (:func:`~repro.service.service.run_served_attempt`), and returns
+  (result, trace events when the service records, operator state,
+  write counts, energy); the parent *installs* the returned state and
+  concludes.  True parallel solves, paid for by pickling operator
+  state both ways.  (The sustained-load benchmark,
+  ``benchmarks/bench_service.py``, runs the thread executor with
+  emulated device latency.)
+
+Either way the member stays BUSY until ``_conclude`` releases it
+under the lock, and ``_dispatch`` pops nothing while every schedulable
+member is BUSY: a worker with no free member waits on the condition
+for the next conclusion instead of failing its job for want of
+capacity.
 
 Fairness: the dispatcher tracks per-tenant in-flight counts and passes
 tenants at their :attr:`~repro.service.queue.TenantPolicy.max_in_flight`
@@ -61,17 +71,19 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.core.crossbar_solver import CrossbarPDIPSolver
 from repro.core.result import FailureReason
 from repro.obs.clock import Deadline
-from repro.obs.tracer import NOOP, RecordingTracer
-from repro.reliability.policy import RecoveryPolicy
+from repro.obs.tracer import NOOP
 from repro.service.service import (
     JobRecord,
     SolverService,
     _failed_result,
     _WorkItem,
-    attempt_energy,
+    attempt_solver,
+    attempt_tracer,
+    job_span,
+    program_operator,
+    run_served_attempt,
 )
 
 #: Longest sleep on the service condition before a waiter rechecks.
@@ -90,102 +102,61 @@ def _remote_attempt(
     settings,
     probe,
     seed: int,
-    job_id: str,
-    group: int,
-    kind: str,
+    spec,
     index: int,
     fingerprint: str,
     member_id: int,
     operator_blob: bytes | None,
     trace_iterations: bool,
     deadline_budget_s: float | None,
-    initial_state=None,
+    initial_state,
+    record: bool,
 ):
     """One analog attempt, executed inside a worker process.
 
-    Mirrors the in-process attempt exactly: same seed derivation, same
-    ``service.job`` span attributes, same RNG call order (operator
-    program / adopt, then solve), so for a given ``(job, attempt,
-    warm-state)`` the child computes the same result the serial
-    scheduler would.  Returns ``(result, trace event dicts, pickled
-    operator state or None, cells_written, program_cells, energy_j)``
-    — everything the parent needs to install the member and conclude
-    the attempt.
+    Transport around the shared attempt body: adopt the shipped
+    operator (warm) or program a fresh one (cold) under the attempt's
+    ``service.job`` span, run
+    :func:`~repro.service.service.run_served_attempt` exactly as the
+    thread path does, and pickle the operator back.  Seeds, span
+    attributes and RNG call order match the in-process attempt, so for
+    a given ``(job, attempt, warm-state)`` the child computes the same
+    result.  Records trace events only when ``record`` (the parent's
+    tracer records).  Returns ``(result, event dicts or None, pickled
+    operator, cells_written, program_cells, energy_j)``.
 
     Runs single-threaded in its own process; needs no locks.
     """
     rng = np.random.default_rng(seed)
-    recovery = RecoveryPolicy(
-        reprograms=0, remaps=0, digital_fallback=None, probe=probe
-    )
-    job_tracer = RecordingTracer()
+    tracer = attempt_tracer(record)
     deadline = (
         Deadline(max(deadline_budget_s, 1e-9))
         if deadline_budget_s is not None
         else None
     )
-    solver = CrossbarPDIPSolver(
-        problem,
-        settings,
-        rng=rng,
-        recovery=recovery,
-        tracer=job_tracer,
-        deadline=deadline,
-    )
+    solver = attempt_solver(problem, settings, rng, probe, tracer, deadline)
     warm = operator_blob is not None
-    with job_tracer.span(
-        "service.job",
-        job_id=job_id,
-        group=group,
-        kind=kind,
-        attempt=index,
-        fingerprint=fingerprint,
-    ) as span:
+    with job_span(tracer, spec, index, fingerprint) as span:
         if warm:
             operator = pickle.loads(operator_blob)
             operator.rng = rng
-            operator.tracer = job_tracer
+            operator.tracer = tracer
         else:
-            operator = CrossbarPDIPSolver(
-                problem,
-                settings,
-                rng=rng,
-                recovery=recovery,
-                tracer=job_tracer,
-            ).build_operator(rng)
+            operator = program_operator(problem, settings, probe, rng, tracer)
         span.set(member=member_id, warm=warm)
-        # Placement cost so far (structural program on a cold member,
-        # zero on a warm adopt) — everything after this point is
-        # per-iteration diagonal rewrites.
-        program_cells = int(
-            job_tracer.counters.get("crossbar.cells_written", 0.0)
+        result, cells, program_cells, energy_j = run_served_attempt(
+            solver,
+            operator,
+            warm,
+            span,
+            trace=trace_iterations,
+            initial_state=initial_state,
         )
-        try:
-            result = solver.solve_on(
-                operator,
-                trace=trace_iterations,
-                initial_state=initial_state,
-            )
-        except Exception as exc:  # noqa: BLE001 - isolation
-            result = _failed_result(
-                problem,
-                f"attempt crashed: {type(exc).__name__}: {exc}",
-                FailureReason.SINGULAR_SYSTEM,
-            )
-        span.set(status=result.status.value)
-    cells = int(job_tracer.counters.get("crossbar.cells_written", 0.0))
-    energy_j = attempt_energy(result, job_tracer.counters, settings)
     # Detach the child-local tracer before shipping the operator back:
     # the parent re-attaches its own, and the blob stays compact.
     operator.tracer = NOOP
-    return (
-        result,
-        job_tracer.event_dicts(),
-        pickle.dumps(operator),
-        cells,
-        program_cells,
-        energy_j,
-    )
+    events = tracer.event_dicts() if record else None
+    return result, events, pickle.dumps(operator), cells, program_cells, energy_j
 
 
 class ConcurrentDispatcher:
@@ -431,10 +402,8 @@ class ConcurrentDispatcher:
         if member is None:
             # Reservation found no capacity; _conclude turns this into
             # the NO_CAPACITY path exactly as in serial mode.
-            item.events = []
             return
         service = self.service
-        spec = item.pending.spec
         blob = (
             pickle.dumps(member.operator)
             if item.warm and member.operator is not None
@@ -449,9 +418,7 @@ class ConcurrentDispatcher:
                 item.settings,
                 service.config.probe,
                 item.seed,
-                spec.job_id,
-                spec.group,
-                spec.kind,
+                item.pending.spec,
                 item.index,
                 item.fingerprint,
                 member.member_id,
@@ -459,41 +426,25 @@ class ConcurrentDispatcher:
                 service.config.trace_iterations,
                 budget,
                 item.initial_state,
+                item.record,
             )
             (
-                result,
-                events,
-                operator_blob,
-                cells,
-                program_cells,
-                energy_j,
+                item.result,
+                item.events,
+                blob,
+                item.cells,
+                item.program_cells,
+                item.energy_j,
             ) = future.result()
-            operator = (
-                pickle.loads(operator_blob)
-                if operator_blob is not None
-                else None
-            )
+            item.operator = pickle.loads(blob)
         except Exception as exc:  # noqa: BLE001 - isolation
-            result = _failed_result(
+            item.result = _failed_result(
                 item.problem,
                 f"attempt crashed in worker process: "
                 f"{type(exc).__name__}: {exc}",
                 FailureReason.SINGULAR_SYSTEM,
             )
-            events, operator, cells, program_cells, energy_j = (
-                [],
-                None,
-                0,
-                0,
-                0.0,
-            )
         if service.config.device_latency_s > 0:
             # Emulated array occupancy (see ServiceConfig): the member
             # stays reserved for the modeled hardware settle window.
             time.sleep(service.config.device_latency_s)
-        item.result = result
-        item.events = events
-        item.operator = operator
-        item.cells = cells
-        item.program_cells = program_cells
-        item.energy_j = energy_j

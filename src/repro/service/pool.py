@@ -424,6 +424,17 @@ class CrossbarPool:
                 else MemberState.EMPTY
             )
 
+    def saturated(self) -> bool:
+        """Whether placement must wait: no member is EMPTY or IDLE and
+        at least one is BUSY, so a placement now would fail where one
+        after the next release could succeed.  Atomic under the pool
+        lock."""
+        with self._lock:
+            states = {member.state for member in self.members}
+            return MemberState.BUSY in states and not (
+                states & {MemberState.EMPTY, MemberState.IDLE}
+            )
+
     def note_result(self, member: PoolMember, success: bool) -> None:
         """Feed a placement outcome to the member's circuit breaker.
 

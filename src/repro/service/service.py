@@ -13,10 +13,13 @@ attempt on a :class:`~repro.service.pool.CrossbarPool` member:
    fingerprint (diagonal rewrites only), else *cold* (full program);
 3. the solve runs via :meth:`~repro.core.crossbar_solver.
    CrossbarPDIPSolver.solve_on` under a per-job ``service.job`` span
-   on a private :class:`~repro.obs.tracer.RecordingTracer`, absorbed
-   into the service tracer afterwards (the sweep engine's merge
-   discipline), so a batch trace attributes every analog op and cell
-   write to its job;
+   and is priced from the engine's own totals (the result's op counts
+   and the operator's write report since placement).  When the service
+   tracer records, the attempt records on a private
+   :class:`~repro.obs.tracer.RecordingTracer` absorbed into it
+   afterwards (the sweep engine's merge discipline), so a batch trace
+   attributes every analog op and cell write to its job; otherwise the
+   attempt traces to ``NOOP``;
 4. failures are isolated, never fatal: the failing member is excluded
    and — on a health-probe rejection — drained and recovered; the job
    is *requeued* (exempt from the admission bound: an accepted job is
@@ -32,10 +35,14 @@ identical records *and* identical traces, byte for byte.
 Concurrency (``workers > 1``) keeps the same scheduler code but splits
 each step into three phases: ``_dispatch`` (pop + placement, under the
 service lock), ``_execute`` (the solve, lock-free), and ``_conclude``
-(requeue-or-finalize + telemetry, under the lock again).  A
-:class:`~repro.service.dispatch.ConcurrentDispatcher` runs N worker
-threads through those phases, optionally shipping the numeric solve to
-a worker *process* (``executor="process"``) to sidestep the GIL.
+(member release + requeue-or-finalize + telemetry, under the lock
+again).  A :class:`~repro.service.dispatch.ConcurrentDispatcher` runs N
+worker threads through those phases, optionally shipping the numeric
+solve to a worker *process* (``executor="process"``) to sidestep the
+GIL; both executors run the same attempt body
+(:func:`run_served_attempt`).  While every schedulable member is BUSY,
+``_dispatch`` leaves the queue alone, so extra workers wait for a
+conclusion instead of failing jobs for want of capacity.
 Concurrent completion order is timing-dependent, so byte-identical
 replay is not promised — but per-attempt results stay deterministic
 (seeds derive from ``(base_seed, job_id, attempt)`` exactly as in
@@ -62,6 +69,7 @@ drives all of it under seeded, declarative chaos scenarios.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 from typing import Callable, Iterable, Sequence
@@ -77,7 +85,9 @@ from repro.core.result import (
 from repro.core.problem import LinearProgram
 from repro.core.settings import CrossbarSolverSettings
 from repro.core.warmstart import warm_start_state
-from repro.costmodel.energy import estimate_energy_from_counts
+from repro.costmodel.energy import estimate_energy
+from repro.crossbar.ops import AnalogMatrixOperator
+from repro.crossbar.programming import WriteReport
 from repro.devices import variation_from_percent
 from repro.exceptions import UnknownJobError
 from repro.obs.clock import Deadline, Stopwatch, monotonic
@@ -296,11 +306,13 @@ class JobAttempt:
     injected into the member *while this attempt was in flight* —
     post-mortem attribution that the failure was the fault's doing.
 
-    ``energy_j`` is the attempt's estimated energy, priced from the
-    attempt tracer's op counts by the Fig. 7 cost model — so a cold
-    placement's full structural program is charged to the attempt
-    that caused it.  Derived purely from deterministic counters, it
-    replays byte-identically and is safe to serialize.
+    ``energy_j`` is the attempt's estimated energy, priced by the
+    Fig. 7 cost model (:func:`~repro.costmodel.energy.estimate_energy`)
+    from the engine's op counts and the operator's writes since
+    placement — so a cold placement's full structural program is
+    charged to the attempt that caused it.  Derived purely from
+    deterministic counters, it replays byte-identically and is safe to
+    serialize.
 
     ``program_cells`` isolates the *placement* cost within
     ``cells_written``: the cells written while acquiring the member
@@ -443,9 +455,10 @@ class _WorkItem:
 
     ``_dispatch`` fills the placement fields under the service lock,
     ``_execute`` (or the dispatcher's process-executor path) fills the
-    outcome fields lock-free, and ``_conclude`` folds everything back
-    into the scheduler under the lock.  Owned by exactly one worker
-    from dispatch to conclusion — never shared across threads.
+    outcome fields lock-free, and ``_conclude`` releases the member and
+    folds everything back into the scheduler under the lock.  Owned by
+    exactly one worker from dispatch to conclusion — never shared
+    across threads.
     """
 
     pending: PendingJob
@@ -462,13 +475,16 @@ class _WorkItem:
     member: PoolMember | None = None
     warm: bool = False
     remote: bool = False
-    job_tracer: RecordingTracer | None = None
+    #: Whether the attempt records trace events (the service tracer
+    #: records, so it absorbs them at conclusion).
+    record: bool = False
+    job_tracer: Tracer = NOOP
     span: object | None = None
     #: Warm-start iterates for a re-solve's first attempt, or None.
     initial_state: tuple | None = None
+    # Outcome, filled by the execute phase:
     #: Cells written while *acquiring* the member (0 on warm placement).
     program_cells: int = 0
-    # Outcome, filled by the execute phase:
     result: SolverResult | None = None
     operator: object | None = None  # child-returned state (remote)
     cells: int = 0
@@ -476,29 +492,113 @@ class _WorkItem:
     events: list | None = None
 
 
-def attempt_energy(
-    result: SolverResult | None,
-    counters: dict,
-    settings: CrossbarSolverSettings,
-) -> float:
-    """Price one attempt's energy from its private tracer counters.
+def attempt_tracer(record: bool) -> Tracer:
+    """A served attempt's private tracer: recording only when the
+    service tracer records (it alone reads the events), else ``NOOP``."""
+    return RecordingTracer() if record else NOOP
 
-    The Fig. 7 cost-model estimate, a pure function of deterministic
-    op counts — it replays byte-identically and is safe to compute in
-    a worker process.  Returns 0 when the attempt never reached the
-    analog array.
+
+def attempt_solver(
+    problem: LinearProgram,
+    settings: CrossbarSolverSettings,
+    rng: np.random.Generator,
+    probe: ProbePolicy | None,
+    tracer: Tracer,
+    deadline: Deadline | None = None,
+) -> CrossbarPDIPSolver:
+    """The solver of one served attempt: no recovery ladder.
+
+    Rescheduling is the service's concern, so the attempt gets one try
+    gated by the health ``probe``.
     """
-    if result is None or result.crossbar is None:
-        return 0.0
-    return estimate_energy_from_counts(
-        multiplies=counters.get("analog.multiplies", 0.0),
-        solves=counters.get("analog.solves", 0.0),
-        cells_written=counters.get("crossbar.cells_written", 0.0),
-        write_energy_j=counters.get("crossbar.write_energy_j", 0.0),
-        array_size=result.crossbar.array_size,
-        iterations=result.iterations,
-        device=settings.device,
-    ).total_j
+    return CrossbarPDIPSolver(
+        problem,
+        settings,
+        rng=rng,
+        recovery=RecoveryPolicy(
+            reprograms=0, remaps=0, digital_fallback=None, probe=probe
+        ),
+        tracer=tracer,
+        deadline=deadline,
+    )
+
+
+def program_operator(
+    problem: LinearProgram,
+    settings: CrossbarSolverSettings,
+    probe: ProbePolicy | None,
+    rng: np.random.Generator,
+    tracer: Tracer,
+) -> AnalogMatrixOperator:
+    """Program a fresh operator for ``problem`` (a cold placement):
+    bound to a job by :func:`functools.partial`, the pool's
+    ``programmer(rng, tracer)``."""
+    solver = attempt_solver(problem, settings, rng, probe, tracer)
+    return solver.build_operator(rng)
+
+
+def job_span(tracer: Tracer, spec: JobSpec, index: int, fingerprint: str):
+    """The ``service.job`` span one served attempt runs under."""
+    return tracer.span(
+        "service.job",
+        job_id=spec.job_id,
+        group=spec.group,
+        kind=spec.kind,
+        attempt=index,
+        fingerprint=fingerprint,
+    )
+
+
+#: Where a cold attempt's writes count from: the fresh operator's
+#: whole history, its structural program included, is the attempt's.
+_NO_WRITES = WriteReport(0, 0, 0.0, 0.0)
+
+
+def run_served_attempt(
+    solver: CrossbarPDIPSolver,
+    operator: AnalogMatrixOperator,
+    warm: bool,
+    span,
+    *,
+    trace: bool,
+    initial_state: tuple | None,
+) -> tuple[SolverResult, int, int, float]:
+    """Solve one just-placed attempt with crash isolation, then price it.
+
+    The attempt body both executors share.  Returns ``(result,
+    cells_written, program_cells, energy_j)``, all from the engine's
+    own totals: the cells are the operator's writes since placement (a
+    cold placement's structural program included, which is also
+    ``program_cells``; a warm one writes nothing), and the energy is
+    the Fig. 7 estimate of the result's op counts with those writes.
+    A crash becomes a failed result with zero energy.
+    """
+    baseline = operator.write_report if warm else _NO_WRITES
+    program_cells = (operator.write_report - baseline).cells_written
+    try:
+        result = solver.solve_on(
+            operator, trace=trace, initial_state=initial_state
+        )
+    except Exception as exc:  # noqa: BLE001 - isolation
+        result = _failed_result(
+            solver.problem,
+            f"attempt crashed: {type(exc).__name__}: {exc}",
+            FailureReason.SINGULAR_SYSTEM,
+        )
+    span.set(status=result.status.value)
+    writes = operator.write_report - baseline
+    energy_j = 0.0
+    if result.crossbar is not None:
+        counters = dataclasses.replace(
+            result.crossbar,
+            cells_written=writes.cells_written,
+            write_energy_j=writes.energy_j,
+        )
+        energy_j = estimate_energy(
+            dataclasses.replace(result, crossbar=counters),
+            solver.settings.device,
+        ).total_j
+    return result, writes.cells_written, program_cells, energy_j
 
 
 def _failed_result(
@@ -961,16 +1061,18 @@ class SolverService:
         """Pop and place the next attempt (the under-lock phase).
 
         Returns ``("record", JobRecord)`` when the job completed with
-        no compute (its deadline expired in the queue), ``("work",
-        item)`` when an execute phase must run, or ``None`` when
-        nothing is dispatchable (queue empty, or every backlogged
-        tenant in ``blocked``).  ``remote`` reserves the pool member
+        no compute (its deadline expired in the queue, or presolve
+        proved it infeasible), ``("work", item)`` when an execute phase
+        must run, or ``None`` when nothing is dispatchable (queue
+        empty, every backlogged tenant in ``blocked``, or every
+        schedulable member BUSY until a conclusion releases one).
+        ``remote`` reserves the pool member
         without programming it (the process-executor path).  The
         caller must hold the service lock (the serial path trivially
         does: it is single-threaded).
         """
         config = self.config
-        if not self.queue.eligible(blocked):
+        if not self.queue.eligible(blocked) or self.pool.saturated():
             return None
         self._fire_campaign_events()
         self._dispatched += 1
@@ -1012,22 +1114,9 @@ class SolverService:
                 f"before attempt {index}",
                 FailureReason.DEADLINE_EXCEEDED,
             )
-            pending.attempts.append(
-                JobAttempt(
-                    index=index,
-                    member=None,
-                    warm=False,
-                    seed=None,
-                    status=result.status.value,
-                    failure_reason=result.failure_reason.value,
-                    iterations=0,
-                    cells_written=0,
-                    tier=int(tier),
-                )
-            )
             return (
                 "record",
-                self._finalize(pending, result, member=None, warm=False),
+                self._finalize_memberless(pending, index, tier, result),
             )
 
         if config.presolve and index == 0:
@@ -1040,24 +1129,9 @@ class SolverService:
             if certificate is not None:
                 result = infeasible_result(problem, certificate)
                 self.tracer.count("service.presolve.infeasible")
-                pending.attempts.append(
-                    JobAttempt(
-                        index=index,
-                        member=None,
-                        warm=False,
-                        seed=None,
-                        status=result.status.value,
-                        failure_reason=result.failure_reason.value,
-                        iterations=0,
-                        cells_written=0,
-                        tier=int(tier),
-                    )
-                )
                 return (
                     "record",
-                    self._finalize(
-                        pending, result, member=None, warm=False
-                    ),
+                    self._finalize_memberless(pending, index, tier, result),
                 )
 
         if (
@@ -1096,12 +1170,6 @@ class SolverService:
 
         seed = attempt_seed(config.base_seed, spec.job_id, index)
         rng = np.random.default_rng(seed)
-        recovery = RecoveryPolicy(
-            reprograms=0,
-            remaps=0,
-            digital_fallback=None,
-            probe=config.probe,
-        )
         if config.cache_enabled:
             fingerprint = (
                 pending.fingerprint
@@ -1113,16 +1181,6 @@ class SolverService:
             # every job pays the full structural program (control arm).
             fingerprint = f"nocache:{spec.job_id}:{index}"
 
-        def programmer(prng, ptracer):
-            """Build this job's operator on a cold member."""
-            return CrossbarPDIPSolver(
-                problem,
-                settings,
-                rng=prng,
-                recovery=recovery,
-                tracer=ptracer,
-            ).build_operator(prng)
-
         item = _WorkItem(
             pending=pending,
             index=index,
@@ -1132,8 +1190,11 @@ class SolverService:
             fingerprint=fingerprint,
             seed=seed,
             rng=rng,
-            programmer=programmer,
+            programmer=functools.partial(
+                program_operator, problem, settings, config.probe
+            ),
             remote=remote,
+            record=isinstance(self.tracer, RecordingTracer),
         )
         if (
             config.warm_start
@@ -1161,38 +1222,18 @@ class SolverService:
             )
             return ("work", item)
 
-        job_tracer = RecordingTracer()
-        item.job_tracer = job_tracer
-        item.solver = CrossbarPDIPSolver(
-            problem,
-            settings,
-            rng=rng,
-            recovery=recovery,
-            tracer=job_tracer,
-            deadline=pending.deadline,
+        job_tracer = item.job_tracer = attempt_tracer(item.record)
+        item.solver = attempt_solver(
+            problem, settings, rng, config.probe, job_tracer, pending.deadline
         )
-        span = job_tracer.span(
-            "service.job",
-            job_id=spec.job_id,
-            group=spec.group,
-            kind=spec.kind,
-            attempt=index,
-            fingerprint=fingerprint,
-        )
+        span = item.span = job_span(job_tracer, spec, index, fingerprint)
         span.__enter__()
-        item.span = span
         item.member, item.warm = self.pool.acquire(
             fingerprint,
-            programmer,
+            item.programmer,
             rng=rng,
             tracer=job_tracer,
             exclude=pending.excluded_members,
-        )
-        # Cells written so far are all placement (structural program);
-        # per-iteration diagonal rewrites land later, in the execute
-        # phase.  A warm placement must leave this at exactly zero.
-        item.program_cells = int(
-            job_tracer.counters.get("crossbar.cells_written", 0.0)
         )
         span.set(
             member=(
@@ -1207,8 +1248,8 @@ class SolverService:
 
         Covers thread-mode analog attempts and brownout fallbacks;
         the concurrent dispatcher executes ``remote`` items in a
-        worker process instead.  Touches no shared scheduler state
-        except releasing the BUSY member (atomic in the pool), so any
+        worker process instead.  Touches no shared scheduler state —
+        the member stays BUSY until ``_conclude`` releases it — so any
         number of executes may overlap.
         """
         if item.mode == "brownout":
@@ -1217,38 +1258,27 @@ class SolverService:
             )
             return
         member = item.member
-        span = item.span
-        result: SolverResult | None = None
         if member is not None:
-            try:
-                result = item.solver.solve_on(
-                    member.operator,
-                    trace=self.config.trace_iterations,
-                    initial_state=item.initial_state,
-                )
-            except Exception as exc:  # noqa: BLE001 - isolation
-                result = _failed_result(
-                    item.problem,
-                    f"attempt crashed: {type(exc).__name__}: {exc}",
-                    FailureReason.SINGULAR_SYSTEM,
-                )
-            finally:
-                if self.config.device_latency_s > 0:
-                    # Emulated array occupancy: the member stays BUSY
-                    # for the modeled hardware settle/readout window.
-                    time.sleep(self.config.device_latency_s)
-                self.pool.release(member)
-            span.set(status=result.status.value)
-        span.__exit__(None, None, None)
-        job_tracer = item.job_tracer
-        item.result = result
-        item.cells = int(
-            job_tracer.counters.get("crossbar.cells_written", 0.0)
-        )
-        item.energy_j = attempt_energy(
-            result, job_tracer.counters, item.settings
-        )
-        item.events = job_tracer.event_dicts()
+            (
+                item.result,
+                item.cells,
+                item.program_cells,
+                item.energy_j,
+            ) = run_served_attempt(
+                item.solver,
+                member.operator,
+                item.warm,
+                item.span,
+                trace=self.config.trace_iterations,
+                initial_state=item.initial_state,
+            )
+            if self.config.device_latency_s > 0:
+                # Emulated array occupancy: the member stays BUSY for
+                # the modeled hardware settle/readout window.
+                time.sleep(self.config.device_latency_s)
+        item.span.__exit__(None, None, None)
+        if item.record:
+            item.events = item.job_tracer.event_dicts()
 
     def _conclude(self, item: _WorkItem) -> JobRecord | None:
         """Fold an executed attempt back into the scheduler.
@@ -1274,36 +1304,27 @@ class SolverService:
             self.tracer.count("service.degradation.browned_out")
             if self.degradation is not None:
                 self.degradation.record(fallback.success)
-            pending.attempts.append(
-                JobAttempt(
-                    index=index,
-                    member=None,
-                    warm=False,
-                    seed=None,
-                    status=fallback.status.value,
-                    failure_reason=fallback.failure_reason.value,
-                    iterations=fallback.iterations,
-                    cells_written=0,
-                    tier=int(tier),
-                )
-            )
-            return self._finalize(
-                pending, fallback, member=None, warm=False, fallback=True
+            return self._finalize_memberless(
+                pending, index, tier, fallback, fallback=True
             )
 
         member = item.member
         warm = item.warm
         result = item.result
-        if item.remote and member is not None:
-            self.pool.install(
-                member,
-                item.operator,
-                fingerprint=item.fingerprint,
-                programmer=item.programmer,
-                rng=item.rng,
-            )
+        if member is not None:
+            # The one release site, under the lock: drain / recover,
+            # breaker feedback and fault attribution below can only
+            # touch this attempt's member, never a later placement.
+            if item.remote:
+                self.pool.install(
+                    member,
+                    item.operator,
+                    fingerprint=item.fingerprint,
+                    programmer=item.programmer,
+                    rng=item.rng,
+                )
             self.pool.release(member)
-        if item.events and isinstance(self.tracer, RecordingTracer):
+        if item.events:
             absorb_events(self.tracer, item.events)
         self._last_fingerprint = pending.fingerprint
         success = result is not None and result.success
@@ -1420,21 +1441,8 @@ class SolverService:
                 config.digital_fallback, item.problem
             )
             self.tracer.count("service.fallbacks")
-            pending.attempts.append(
-                JobAttempt(
-                    index=len(pending.attempts),
-                    member=None,
-                    warm=False,
-                    seed=None,
-                    status=fallback.status.value,
-                    failure_reason=fallback.failure_reason.value,
-                    iterations=fallback.iterations,
-                    cells_written=0,
-                    tier=int(tier),
-                )
-            )
-            return self._finalize(
-                pending, fallback, member=None, warm=False, fallback=True
+            return self._finalize_memberless(
+                pending, len(pending.attempts), tier, fallback, fallback=True
             )
         if result is None:
             result = _failed_result(
@@ -1447,6 +1455,35 @@ class SolverService:
             result,
             member=member.member_id if member is not None else None,
             warm=warm,
+        )
+
+    def _finalize_memberless(
+        self,
+        pending: PendingJob,
+        index: int,
+        tier: DegradationTier,
+        result: SolverResult,
+        *,
+        fallback: bool = False,
+    ) -> JobRecord:
+        """Record an outcome no pool member produced — an expired
+        deadline, a presolve verdict or a digital fallback — as the
+        job's last attempt, and finalize the job (lock held)."""
+        pending.attempts.append(
+            JobAttempt(
+                index=index,
+                member=None,
+                warm=False,
+                seed=None,
+                status=result.status.value,
+                failure_reason=result.failure_reason.value,
+                iterations=result.iterations,
+                cells_written=0,
+                tier=int(tier),
+            )
+        )
+        return self._finalize(
+            pending, result, member=None, warm=False, fallback=fallback
         )
 
     def _finalize(

@@ -1,12 +1,14 @@
 """Tests for concurrent dispatch, queue thread safety, and fairness."""
 
 import json
+import sys
 import threading
 import time
 
 import pytest
 
 import repro.service.dispatch
+from repro.core.result import SolveStatus
 from repro.obs import RecordingTracer
 from repro.service import (
     ConcurrentDispatcher,
@@ -18,6 +20,7 @@ from repro.service import (
     TenantPolicy,
     synthesize_jobs,
 )
+from repro.service.pool import MemberState
 
 
 def run_service(*, workers, jobs=12, tenants=(), telemetry=None, **overrides):
@@ -267,6 +270,75 @@ class TestConcurrentDispatch:
         assert {r.spec.job_id for r in records} == {
             f"job-{i:04d}" for i in range(4)
         }
+
+
+class TestOneAttemptPath:
+    """Both executors run one attempt body and one release site."""
+
+    @staticmethod
+    def records(**overrides):
+        config = ServiceConfig(pool_size=4, base_seed=7, **overrides)
+        records, _ = SolverService(config).batch(
+            synthesize_jobs(4, groups=4, constraints=8)
+        )
+        payloads = []
+        for record in sorted(records, key=lambda r: r.spec.job_id):
+            payload = record.to_dict()
+            payload["member"] = None
+            for attempt in payload["attempts"]:
+                attempt["member"] = None
+            payloads.append(payload)
+        return payloads
+
+    def test_executors_give_identical_records(self):
+        # Four structures on four members: every attempt places cold
+        # on its own member, so only the member ids may differ.
+        serial = self.records()
+        assert len(serial) == 4
+        assert all(not r["attempts"][0]["warm"] for r in serial)
+        assert self.records(workers=2) == serial
+        assert self.records(workers=2, executor="process") == serial
+
+    def test_saturated_pool_makes_workers_wait(self):
+        # Four workers over two members: the extra workers wait for a
+        # release instead of failing their jobs for want of capacity.
+        # A short switch interval interleaves the phases harder.
+        service = SolverService(
+            ServiceConfig(pool_size=2, workers=4, base_seed=7)
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            records, summary = service.batch(
+                synthesize_jobs(24, groups=2, constraints=8)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert summary.jobs == 24
+        assert all(record.success for record in records)
+        reasons = {
+            attempt.failure_reason
+            for record in records
+            for attempt in record.attempts
+        }
+        assert "no_capacity" not in reasons
+
+    def test_member_released_only_at_conclusion(self):
+        # Phase-driven: job a's member fails and retires in _conclude(a)
+        # while job b, dispatched after a's execute, must not be on it.
+        service = SolverService(ServiceConfig(pool_size=2, base_seed=7))
+        service.submit(JobSpec(job_id="a", constraints=8))
+        service.submit(JobSpec(job_id="b", constraints=8))
+        _, a = service._dispatch()
+        service.pool.inject_fault(a.member.member_id, 1.0, sticky=True)
+        service._execute(a)
+        _, b = service._dispatch()
+        assert b.member is not a.member
+        assert service._conclude(a) is None  # requeued
+        assert a.member.state is MemberState.RETIRED
+        service._execute(b)
+        record = service._conclude(b)
+        assert record.result.status is SolveStatus.OPTIMAL
 
 
 class TestWakeOnAdmission:

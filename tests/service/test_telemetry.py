@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.costmodel import estimate_energy_from_counts
+from repro.costmodel import estimate_energy
 from repro.obs import RecordingTracer
 from repro.obs.recorder import read_flight_jsonl
 from repro.service import (
     FaultCampaign,
     FaultEvent,
+    JobSpec,
     ServiceConfig,
     ServiceTelemetry,
     SolverService,
@@ -212,24 +213,40 @@ class TestDeterminismContract:
         assert "energy_j" in payload
 
     def test_attempt_energy_matches_cost_model(self):
-        telemetry = ServiceTelemetry()
-        service, records, _ = run_batch(telemetry)
-        record = records[0]
-        attempt = record.attempts[0]
-        assert attempt.energy_j > 0
-        assert record.energy_j == pytest.approx(
-            sum(a.energy_j for a in record.attempts)
+        # Attempts are priced by the cost model over the engine's own
+        # totals: the result's op counts plus the operator's writes
+        # since placement.
+        service = SolverService(ServiceConfig(pool_size=1, base_seed=7))
+        device = service.config.settings.device
+        placed = []
+        acquire = service.pool.acquire
+
+        def spy(*args, **kwargs):
+            member, warm = acquire(*args, **kwargs)
+            placed.append(member.operator.write_report.cells_written)
+            return member, warm
+
+        service.pool.acquire = spy
+        service.submit(JobSpec(job_id="base", constraints=10))
+        (cold,) = service.drain()
+        service.resolve("base", job_id="again", perturb=0.02)
+        (warm,) = service.drain()
+
+        (attempt,) = cold.attempts
+        assert not attempt.warm
+        assert attempt.program_cells == placed[0] > 0
+        assert attempt.cells_written == (
+            attempt.program_cells + cold.result.crossbar.cells_written
         )
-        # The pricing function is the shared cost-model helper.
-        assert estimate_energy_from_counts(
-            multiplies=0,
-            solves=0,
-            cells_written=0,
-            write_energy_j=0.0,
-            array_size=8,
-            iterations=0,
-            device=service.config.settings.device,
-        ).total_j == 0.0
+        assert attempt.energy_j > estimate_energy(cold.result, device).total_j
+        assert cold.energy_j == attempt.energy_j
+
+        # The cold attempt owns the operator's whole history so far.
+        assert placed[1] == cold.attempts[0].cells_written
+        (attempt,) = warm.attempts
+        assert attempt.warm and attempt.program_cells == 0
+        assert attempt.cells_written == warm.result.crossbar.cells_written
+        assert attempt.energy_j == estimate_energy(warm.result, device).total_j
 
 
 class TestStatsLine:
