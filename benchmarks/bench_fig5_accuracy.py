@@ -13,11 +13,11 @@ Solver 2 (Fig. 5b).  Shape targets from the paper:
 
 import pytest
 
-from repro.experiments import accuracy_sweep, render_accuracy
+from repro.experiments import render_accuracy, run_sweep
 
 
 def _run(solver, config):
-    rows = accuracy_sweep(solver, config)
+    rows = run_sweep("feasible", solver, config).rows
     print()
     print(f"=== Fig. 5 ({solver}) ===")
     print(render_accuracy(rows))
@@ -59,7 +59,7 @@ def test_fig5_variation_trend(benchmark, small_sweep_config):
     """Errors must grow with the variation level at fixed size."""
 
     def run():
-        return accuracy_sweep("crossbar", small_sweep_config)
+        return run_sweep("feasible", "crossbar", small_sweep_config).rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     by_size = {}

@@ -9,11 +9,11 @@ and the energy gain grows with problem size.
 
 import pytest
 
-from repro.experiments import energy_sweep, render_energy
+from repro.experiments import render_energy, run_sweep
 
 
 def _run(solver, config):
-    rows = energy_sweep(solver, config)
+    rows = run_sweep("feasible", solver, config).rows
     print()
     print(f"=== Fig. 7 ({solver}) ===")
     print(render_energy(rows))
@@ -25,10 +25,10 @@ def test_fig7a_solver1_energy(benchmark, sweep_config):
     rows = benchmark.pedantic(
         _run, args=("crossbar", sweep_config), rounds=1, iterations=1
     )
-    solved = [r for r in rows if r.crossbar.count]
+    solved = [r for r in rows if r.energy.count]
     assert solved
     for row in solved:
-        assert row.crossbar.mean > 0
+        assert row.energy.mean > 0
         assert row.linprog_j > 0
     # Crossbar energy at the benchmark grid stays far below the CPU's
     # at the same sizes.
@@ -44,7 +44,7 @@ def test_fig7b_solver2_energy(benchmark, sweep_config):
         rounds=1,
         iterations=1,
     )
-    solved = [r for r in rows if r.crossbar.count]
+    solved = [r for r in rows if r.energy.count]
     assert solved
 
 
@@ -54,17 +54,17 @@ def test_fig7_solver2_more_efficient(benchmark, small_sweep_config):
     (273x vs 30x at scale)."""
 
     def run():
-        s1 = energy_sweep("crossbar", small_sweep_config)
-        s2 = energy_sweep("large_scale", small_sweep_config)
+        s1 = run_sweep("feasible", "crossbar", small_sweep_config).rows
+        s2 = run_sweep("feasible", "large_scale", small_sweep_config).rows
         return s1, s2
 
     s1_rows, s2_rows = benchmark.pedantic(run, rounds=1, iterations=1)
     wins = 0
     cells = 0
     for r1, r2 in zip(s1_rows, s2_rows):
-        if r1.crossbar.count and r2.crossbar.count:
+        if r1.energy.count and r2.energy.count:
             cells += 1
-            if r2.crossbar.mean < r1.crossbar.mean:
+            if r2.energy.mean < r1.energy.mean:
                 wins += 1
     assert cells > 0
     assert wins >= cells / 2

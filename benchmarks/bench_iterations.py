@@ -16,10 +16,10 @@ from repro.core import (
     solve_crossbar_large_scale,
 )
 from repro.experiments import (
-    accuracy_sweep,
     infeasibility_sweep,
     render_accuracy,
     render_infeasibility,
+    run_sweep,
 )
 from repro.workloads import random_feasible_lp
 
@@ -27,8 +27,8 @@ from repro.workloads import random_feasible_lp
 @pytest.mark.benchmark(group="iterations")
 def test_iteration_counts_by_variation(benchmark, small_sweep_config):
     def run():
-        s1 = accuracy_sweep("crossbar", small_sweep_config)
-        s2 = accuracy_sweep("large_scale", small_sweep_config)
+        s1 = run_sweep("feasible", "crossbar", small_sweep_config).rows
+        s2 = run_sweep("feasible", "large_scale", small_sweep_config).rows
         print()
         print("=== iteration counts (Solver 1) ===")
         print(render_accuracy(s1))

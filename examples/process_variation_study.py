@@ -8,11 +8,7 @@ experiment behind the paper's headline claim that "even for up to 20%
 process variation, relative error can be as low as 1%".
 """
 
-from repro.experiments import (
-    SweepConfig,
-    accuracy_sweep,
-    render_accuracy,
-)
+from repro.experiments import SweepConfig, render_accuracy, run_sweep
 
 
 def main():
@@ -24,7 +20,7 @@ def main():
     )
     print("Sweep grid:", config)
     for solver, figure in (("crossbar", "5(a)"), ("large_scale", "5(b)")):
-        rows = accuracy_sweep(solver, config)
+        rows = run_sweep("feasible", solver, config).rows
         print(f"\n=== Fig. {figure}: {solver} ===")
         print(render_accuracy(rows))
     print(

@@ -5,81 +5,53 @@ Usage:
     python examples/reproduce_figures.py fig5b fig6a fig7b --workers 4
     python examples/reproduce_figures.py all --workers 4 --cache-dir .sweeps
 
-Targets: fig5a fig5b fig6a fig6b fig7a fig7b infeasibility all
+Targets: fig5a fig5b fig6a fig6b fig7a fig7b infeasibility_s1
+infeasibility_s2 all
 
 ``--paper-scale`` runs the full Section 4.2 grid (constraints to 1024,
 100 trials per cell); the default grid preserves every figure's shape
-in minutes.  ``--workers N`` fans the grid out to N processes with
-bit-identical tables; ``--cache-dir`` keeps a per-target JSONL cell
-cache so an interrupted (paper-scale) run resumes instead of
-restarting.  Run with ``--help`` for a walkthrough mapping each paper
-figure to its experiment module and CLI entry point.
+in minutes.  Figs. 5-7 of one solver come from one sweep, run once
+however many of them are asked for.  ``--workers N`` fans each sweep
+out to N processes with bit-identical tables; ``--cache-dir`` keeps
+one JSONL cell cache per sweep so an interrupted (paper-scale) run
+resumes instead of restarting.  Run with ``--help`` for a walkthrough
+mapping each paper figure to its experiment module and CLI entry
+point.
 """
 
 import argparse
-from pathlib import Path
 
-from repro.experiments import (
-    SweepConfig,
-    accuracy_sweep,
-    energy_sweep,
-    infeasibility_sweep,
-    latency_sweep,
-    paper_scale,
-    render_accuracy,
-    render_energy,
-    render_infeasibility,
-    render_latency,
-)
-
-TARGETS = {
-    "fig5a": ("accuracy", "crossbar"),
-    "fig5b": ("accuracy", "large_scale"),
-    "fig6a": ("latency", "crossbar"),
-    "fig6b": ("latency", "large_scale"),
-    "fig7a": ("energy", "crossbar"),
-    "fig7b": ("energy", "large_scale"),
-    "infeasibility": ("infeasibility", "crossbar"),
-}
-
-RUNNERS = {
-    "accuracy": (accuracy_sweep, render_accuracy),
-    "latency": (latency_sweep, render_latency),
-    "energy": (energy_sweep, render_energy),
-    "infeasibility": (infeasibility_sweep, render_infeasibility),
-}
+from repro.experiments import FIGURES, SweepConfig, paper_scale, run_figures
 
 WALKTHROUGH = """\
 walkthrough — paper figure -> module -> invocation:
 
-  fig5a / fig5b (accuracy, Fig. 5).  repro/experiments/accuracy.py
-  solves random feasible LPs on Solver 1 (fig5a) or Solver 2 (fig5b)
-  and reports relative error against scipy HiGHS (the paper's Matlab
-  linprog stand-in).  Equivalent CLI:
-  `python -m repro sweep accuracy --solver crossbar|large_scale`.
+  fig5a-fig7b (Figs. 5-7).  repro/experiments/feasible.py solves
+  random feasible LPs on Solver 1 (the "a" panels) or Solver 2 (the
+  "b" panels), once per cell, and reads three figures off each solve:
+  Fig. 5's relative error against scipy HiGHS (the paper's Matlab
+  linprog stand-in); Fig. 6's latency, the measured iteration/write
+  counters priced by the device + periphery cost model
+  (repro/costmodel/latency.py) against the anchored CPU models; and
+  Fig. 7's energy, the same counters priced in joules
+  (repro/costmodel/energy.py), CPU side at the paper-implied ~35 W.
+  Equivalent CLI, printing all three tables:
+  `python -m repro sweep feasible --solver crossbar|large_scale`.
 
-  fig6a / fig6b (latency, Fig. 6).  repro/experiments/latency.py
-  prices each solve's measured iteration/write counters with the
-  device + periphery cost model (repro/costmodel/latency.py) and
-  compares against the anchored CPU models.  Equivalent CLI:
-  `python -m repro sweep latency --solver crossbar|large_scale`.
+  infeasibility_s1 / infeasibility_s2 (Section 4.4).
+  repro/experiments/infeasibility.py plants contradictory constraints
+  and measures how fast the big-M divergence certificate fires — the
+  paper's 113x headline.  Equivalent CLI:
+  `python -m repro sweep infeasibility --solver crossbar|large_scale`.
 
-  fig7a / fig7b (energy, Fig. 7).  repro/experiments/energy.py —
-  same methodology priced in joules (repro/costmodel/energy.py), CPU
-  side at the paper-implied ~35 W.  Equivalent CLI:
-  `python -m repro sweep energy --solver crossbar|large_scale`.
-
-  infeasibility (Section 4.4).  repro/experiments/infeasibility.py
-  plants contradictory constraints and measures how fast the big-M
-  divergence certificate fires — the paper's 113x headline.
-  Equivalent CLI: `python -m repro sweep infeasibility`.
-
-  All four run on the sweep engine (repro/experiments/engine.py):
+  Both run on the sweep engine (repro/experiments/engine.py):
   deterministic per-cell seeding means any --workers count produces
   bit-identical tables, and a --cache-dir cell cache makes long runs
-  resumable.  The parasitics study (`python -m repro parasitics`) and
-  the NoC comparison (benchmarks/bench_noc.py) have no sweep grid and
-  run separately.
+  resumable.  Pin BLAS to one thread per process
+  (OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1) when --workers > 1.  The
+  parasitics study (`python -m repro parasitics`) and the NoC
+  comparison (benchmarks/bench_noc.py) have no sweep grid and run
+  separately.
 """
 
 
@@ -92,7 +64,7 @@ def main():
     parser.add_argument(
         "targets",
         nargs="+",
-        choices=sorted(TARGETS) + ["all"],
+        choices=[*FIGURES, "all"],
         help="figures to regenerate",
     )
     parser.add_argument(
@@ -110,7 +82,7 @@ def main():
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="keep per-target cell caches here; re-runs resume",
+        help="keep per-sweep cell caches here; re-runs resume",
     )
     args = parser.parse_args()
 
@@ -123,28 +95,13 @@ def main():
             seed=config.seed,
         )
 
-    targets = (
-        sorted(TARGETS) if "all" in args.targets else args.targets
-    )
-    for target in targets:
-        experiment, solver = TARGETS[target]
-        sweep, render = RUNNERS[experiment]
-        cache = None
-        if args.cache_dir:
-            cache_dir = Path(args.cache_dir)
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            cache = cache_dir / f"{target}.cells.jsonl"
+    targets = list(FIGURES) if "all" in args.targets else args.targets
+    for target, _, table in run_figures(
+        targets, config, workers=args.workers, cache_dir=args.cache_dir
+    ):
+        experiment, solver, _ = FIGURES[target]
         print(f"\n=== {target} ({experiment}, {solver}) ===")
-        print(
-            render(
-                sweep(
-                    solver,
-                    config,
-                    workers=args.workers,
-                    cache_path=cache,
-                )
-            )
-        )
+        print(table)
 
 
 if __name__ == "__main__":

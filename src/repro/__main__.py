@@ -39,19 +39,13 @@ from repro.reliability import (
     describe_attempts,
 )
 from repro.experiments import (
+    FIGURES,
     SweepConfig,
+    run_figures,
     run_sweep,
-    accuracy_sweep,
-    energy_sweep,
-    infeasibility_sweep,
-    latency_sweep,
     max_usable_tile,
     paper_scale,
     parasitics_sweep,
-    render_accuracy,
-    render_energy,
-    render_infeasibility,
-    render_latency,
     render_parasitics,
     settings_for,
     solver_for,
@@ -86,21 +80,6 @@ from repro.workloads import (
     random_infeasible_lp,
     rolling_horizon_stream,
 )
-
-_FIGURES = {
-    "fig5a": (accuracy_sweep, render_accuracy, "crossbar"),
-    "fig5b": (accuracy_sweep, render_accuracy, "large_scale"),
-    "fig6a": (latency_sweep, render_latency, "crossbar"),
-    "fig6b": (latency_sweep, render_latency, "large_scale"),
-    "fig7a": (energy_sweep, render_energy, "crossbar"),
-    "fig7b": (energy_sweep, render_energy, "large_scale"),
-    "infeasibility": (
-        infeasibility_sweep,
-        render_infeasibility,
-        "crossbar",
-    ),
-}
-
 
 def _reliability_solver(args: argparse.Namespace, tracer=None):
     """A solver callable honouring the CLI's reliability flags."""
@@ -251,11 +230,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     config = paper_scale() if args.paper_scale else SweepConfig()
-    targets = sorted(_FIGURES) if "all" in args.targets else args.targets
-    for target in targets:
-        sweep, render, solver = _FIGURES[target]
+    targets = list(FIGURES) if "all" in args.targets else args.targets
+    for target, _, table in run_figures(
+        targets, config, workers=args.workers
+    ):
+        _, solver, _ = FIGURES[target]
         print(f"\n=== {target} ({solver}) ===")
-        print(render(sweep(solver, config, workers=args.workers)))
+        print(table)
     return 0
 
 
@@ -666,7 +647,10 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
                         default="thread",
                         help="where concurrent solves run: in the "
                              "worker thread (GIL-shared) or a "
-                             "pre-warmed worker-process pool")
+                             "pre-warmed worker-process pool (set "
+                             "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 "
+                             "or its BLAS threads oversubscribe the "
+                             "cores)")
     parser.add_argument("--device-latency", type=float, default=0.0,
                         metavar="SECONDS",
                         help="hardware-in-the-loop emulation: each "
@@ -757,7 +741,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="crossbar",
     )
     sweep.add_argument("--workers", type=int, default=1,
-                       help="process-pool width (1 = inline)")
+                       help="process-pool width (1 = inline); set "
+                            "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 "
+                            "or the processes' BLAS threads "
+                            "oversubscribe the cores")
     sweep.add_argument("--resume", default=None, metavar="CACHE",
                        help="JSONL cell cache; created if absent, "
                             "completed cells are skipped on re-run")
@@ -785,11 +772,14 @@ def build_parser() -> argparse.ArgumentParser:
         "figures", help="regenerate the paper's figure tables"
     )
     figures.add_argument(
-        "targets", nargs="+", choices=sorted(_FIGURES) + ["all"]
+        "targets", nargs="+", choices=[*FIGURES, "all"]
     )
     figures.add_argument("--paper-scale", action="store_true")
     figures.add_argument("--workers", type=int, default=1,
-                         help="process-pool width for each sweep")
+                         help="process-pool width for each sweep; "
+                              "set OPENBLAS_NUM_THREADS=1 "
+                              "OMP_NUM_THREADS=1 or the processes' "
+                              "BLAS threads oversubscribe the cores")
     figures.set_defaults(func=_cmd_figures)
 
     parasitics = sub.add_parser(

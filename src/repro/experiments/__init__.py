@@ -1,18 +1,14 @@
 """Table/figure regeneration harness (Figs. 5-7, Section 4.4 anchors).
 
 Every sweep executes on the parallel, resumable engine
-(:mod:`repro.experiments.engine`); pass ``workers=N`` /
-``cache_path=...`` to any ``*_sweep`` function, or call
-:func:`~repro.experiments.engine.run_sweep` directly for the full
+(:mod:`repro.experiments.engine`): call
+:func:`~repro.experiments.engine.run_sweep` with ``workers=N`` /
+``cache_path=...`` for the full
 :class:`~repro.experiments.engine.SweepRunResult` (failures, cache
-hits, fingerprint).
+hits, fingerprint), or :func:`run_figures` to render figures from
+:data:`FIGURES`, running each sweep once.
 """
 
-from repro.experiments.accuracy import (
-    AccuracyRow,
-    accuracy_sweep,
-    render_accuracy,
-)
 from repro.experiments.engine import (
     CellFailure,
     CellKey,
@@ -24,16 +20,16 @@ from repro.experiments.engine import (
     run_sweep,
     sweep_fingerprint,
 )
-from repro.experiments.energy import EnergyRow, energy_sweep, render_energy
+from repro.experiments.feasible import (
+    FeasibleRow,
+    render_accuracy,
+    render_energy,
+    render_latency,
+)
 from repro.experiments.infeasibility import (
     InfeasibilityRow,
     infeasibility_sweep,
     render_infeasibility,
-)
-from repro.experiments.latency import (
-    LatencyRow,
-    latency_sweep,
-    render_latency,
 )
 from repro.experiments.parasitics import (
     ParasiticsRow,
@@ -42,8 +38,10 @@ from repro.experiments.parasitics import (
     render_parasitics,
 )
 from repro.experiments.reproduce import (
+    FIGURES,
     ReproductionArtifact,
     reproduce_all,
+    run_figures,
 )
 from repro.experiments.runner import (
     SOLVER_NAMES,
@@ -68,14 +66,9 @@ __all__ = [
     "solver_for",
     "settings_for",
     "SOLVER_NAMES",
-    "AccuracyRow",
-    "accuracy_sweep",
+    "FeasibleRow",
     "render_accuracy",
-    "LatencyRow",
-    "latency_sweep",
     "render_latency",
-    "EnergyRow",
-    "energy_sweep",
     "render_energy",
     "InfeasibilityRow",
     "infeasibility_sweep",
@@ -84,6 +77,8 @@ __all__ = [
     "parasitics_sweep",
     "max_usable_tile",
     "render_parasitics",
+    "FIGURES",
+    "run_figures",
     "ReproductionArtifact",
     "reproduce_all",
 ]

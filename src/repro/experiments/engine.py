@@ -33,9 +33,9 @@ Three further production features:
   keep working on parallel sweeps.
 
 Experiments register a :class:`SweepSpec` (per-trial function +
-row aggregator + renderer); the four paper sweeps live in
-:mod:`repro.experiments.accuracy` / ``latency`` / ``energy`` /
-``infeasibility``.  See DESIGN.md §10.
+row aggregator + renderer); the paper's two sweeps live in
+:mod:`repro.experiments.feasible` (Figs. 5-7 from one solve per cell)
+and :mod:`repro.experiments.infeasibility`.  See DESIGN.md §10.
 """
 
 from __future__ import annotations
@@ -67,9 +67,7 @@ CELL_CRASHED = "cell_crashed"
 
 #: Registry: experiment name -> "module:attr" of its SweepSpec.
 SPEC_REFS = {
-    "accuracy": "repro.experiments.accuracy:SPEC",
-    "latency": "repro.experiments.latency:SPEC",
-    "energy": "repro.experiments.energy:SPEC",
+    "feasible": "repro.experiments.feasible:SPEC",
     "infeasibility": "repro.experiments.infeasibility:SPEC",
 }
 
@@ -81,7 +79,7 @@ class SweepSpec:
     Attributes
     ----------
     name:
-        Experiment identifier (``"accuracy"`` ...), part of the cache
+        Experiment identifier (``"feasible"`` ...), part of the cache
         fingerprint.
     trial:
         ``trial(solver, size, variation, trial, config, tracer) ->
@@ -284,7 +282,8 @@ class SweepCache:
     a different fingerprint raises ``ValueError`` (a cache is bound to
     exactly one sweep identity).  Crashed cells are recorded too —
     for post-mortems — but are *not* treated as completed, so a
-    resumed run retries them.
+    resumed run retries them.  A last line cut short by a killed run
+    is dropped from the file on load, so its cell re-runs too.
     """
 
     def __init__(
@@ -310,12 +309,10 @@ class SweepCache:
             self.path.write_text(json.dumps(header) + "\n")
 
     def _load(self) -> None:
-        lines = [
-            line
-            for line in self.path.read_text().splitlines()
-            if line.strip()
-        ]
-        header = json.loads(lines[0])
+        data = self.path.read_bytes()
+        lines = data.split(b"\n")
+        tail = lines.pop()  # empty when the file ends in a newline
+        header = json.loads(lines[0] if lines else tail)
         if header.get("format") != CACHE_FORMAT:
             raise ValueError(
                 f"{self.path} is not a {CACHE_FORMAT} file"
@@ -327,7 +324,23 @@ class SweepCache:
                 f"{self.fingerprint!r}); pass a fresh cache path or "
                 "re-run with the original grid/solver/seed"
             )
+        if tail:
+            # A run killed mid-append leaves its last line without a
+            # newline.  Drop it if it does not parse (its cell re-runs),
+            # else just end it, so the next append gets a line of its
+            # own.  A malformed line anywhere else still raises below.
+            try:
+                json.loads(tail)
+            except ValueError:
+                with self.path.open("r+b") as handle:
+                    handle.truncate(len(data) - len(tail))
+            else:
+                lines.append(tail)
+                with self.path.open("ab") as handle:
+                    handle.write(b"\n")
         for line in lines[1:]:
+            if not line.strip():
+                continue
             outcome = CellOutcome.from_dict(json.loads(line))
             if outcome.failure is None:
                 self.completed[outcome.key] = outcome
@@ -487,8 +500,8 @@ def run_sweep(
     Parameters
     ----------
     experiment:
-        Registry name (``"accuracy"``, ``"latency"``, ``"energy"``,
-        ``"infeasibility"``) or a ``"module:attr"`` spec reference.
+        Registry name (``"feasible"``, ``"infeasibility"``) or a
+        ``"module:attr"`` spec reference.
     solver:
         Solver registry name forwarded to the trial function.
     config:
@@ -596,10 +609,12 @@ def run_sweep(
             executor.shutdown()
 
     # Merge traces and aggregate rows in canonical grid order, so the
-    # result is independent of completion order and worker count.
+    # result is independent of completion order and worker count.  An
+    # untraced run restoring cells a traced run cached drops their
+    # events.
     outcomes = tuple(done[key] for key in keys)
     for outcome in outcomes:
-        if outcome.events:
+        if record and outcome.events:
             absorb_events(tracer, outcome.events)
     rows = []
     for m in config.sizes:

@@ -124,7 +124,7 @@ def infeasibility_sweep(
 ) -> list[InfeasibilityRow]:
     """Run the detection sweep and return one row per cell.
 
-    Instrumented like :func:`repro.experiments.accuracy_sweep`: one
+    Instrumented like the ``feasible`` sweep: one
     ``sweep_cell`` span per trial (attributes include the worker pid),
     ``sweep.trials`` / ``sweep.detected`` counters across the run.
     ``workers`` / ``cache_path`` enable parallel and resumable

@@ -1,30 +1,52 @@
 """One-call reproduction driver: run every experiment, write artifacts.
 
-``reproduce_all(output_dir)`` runs the full figure set (accuracy,
-latency, energy, infeasibility for both solvers, plus the parasitics
-study) on a chosen grid and writes, per experiment, a rendered text
-table plus machine-readable CSV/JSON — everything needed to re-plot
-the paper's Section 4 from this repository's data.
+:data:`FIGURES` is the one table of the paper's figures: each name maps
+to the sweep that produces it and the renderer that prints it.  Figs.
+5, 6 and 7 are three views of one ``feasible`` sweep per solver, so
+:func:`run_figures` runs each distinct (experiment, solver) sweep once
+however many of its figures are asked for.  ``repro figures``,
+``examples/reproduce_figures.py`` and :func:`reproduce_all` all go
+through it; ``reproduce_all(output_dir)`` also runs the parasitics
+study and writes, per figure, a rendered text table plus
+machine-readable CSV/JSON — everything needed to re-plot the paper's
+Section 4 from this repository's data.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 from repro.analysis.export import write_csv, write_json
-from repro.experiments.accuracy import accuracy_sweep, render_accuracy
-from repro.experiments.energy import energy_sweep, render_energy
-from repro.experiments.infeasibility import (
-    infeasibility_sweep,
-    render_infeasibility,
+from repro.experiments.engine import run_sweep
+from repro.experiments.feasible import (
+    render_accuracy,
+    render_energy,
+    render_latency,
 )
-from repro.experiments.latency import latency_sweep, render_latency
+from repro.experiments.infeasibility import render_infeasibility
 from repro.experiments.parasitics import (
     parasitics_sweep,
     render_parasitics,
 )
 from repro.experiments.runner import SweepConfig
+
+#: Figure name -> (experiment, solver, renderer), in run order.
+FIGURES: dict[str, tuple[str, str, Callable]] = {
+    "fig5a": ("feasible", "crossbar", render_accuracy),
+    "fig5b": ("feasible", "large_scale", render_accuracy),
+    "fig6a": ("feasible", "crossbar", render_latency),
+    "fig6b": ("feasible", "large_scale", render_latency),
+    "fig7a": ("feasible", "crossbar", render_energy),
+    "fig7b": ("feasible", "large_scale", render_energy),
+    "infeasibility_s1": ("infeasibility", "crossbar", render_infeasibility),
+    "infeasibility_s2": (
+        "infeasibility",
+        "large_scale",
+        render_infeasibility,
+    ),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,26 +70,39 @@ class ReproductionArtifact:
     rows: list
 
 
-_EXPERIMENTS = (
-    ("fig5a", accuracy_sweep, render_accuracy, "crossbar"),
-    ("fig5b", accuracy_sweep, render_accuracy, "large_scale"),
-    ("fig6a", latency_sweep, render_latency, "crossbar"),
-    ("fig6b", latency_sweep, render_latency, "large_scale"),
-    ("fig7a", energy_sweep, render_energy, "crossbar"),
-    ("fig7b", energy_sweep, render_energy, "large_scale"),
-    (
-        "infeasibility_s1",
-        infeasibility_sweep,
-        render_infeasibility,
-        "crossbar",
-    ),
-    (
-        "infeasibility_s2",
-        infeasibility_sweep,
-        render_infeasibility,
-        "large_scale",
-    ),
-)
+def run_figures(
+    names: Iterable[str],
+    config: SweepConfig | None = None,
+    *,
+    workers: int = 1,
+    cache_dir: str | Path | None = None,
+) -> Iterator[tuple[str, list, str]]:
+    """Yield ``(name, rows, table)`` for each named figure, in order.
+
+    Each distinct (experiment, solver) sweep runs once, on first need,
+    and every later figure of that sweep renders the same rows.
+    ``workers`` is the process-pool width of each sweep; with
+    ``cache_dir`` set, each sweep keeps its resumable cell cache there
+    as ``<experiment>-<solver>.cells.jsonl``.
+    """
+    rows_by_sweep: dict[tuple[str, str], list] = {}
+    for name in names:
+        experiment, solver, render = FIGURES[name]
+        if (experiment, solver) not in rows_by_sweep:
+            cache = (
+                None
+                if cache_dir is None
+                else Path(cache_dir) / f"{experiment}-{solver}.cells.jsonl"
+            )
+            rows_by_sweep[experiment, solver] = run_sweep(
+                experiment,
+                solver,
+                config,
+                workers=workers,
+                cache_path=cache,
+            ).rows
+        rows = rows_by_sweep[experiment, solver]
+        yield name, rows, render(rows)
 
 
 def reproduce_all(
@@ -87,7 +122,8 @@ def reproduce_all(
         Sweep grid; defaults to the scaled-down
         :class:`~repro.experiments.runner.SweepConfig`.
     experiments:
-        Optional subset of experiment names (plus ``"parasitics"``).
+        Optional subset of :data:`FIGURES` names (plus
+        ``"parasitics"``).
     workers:
         Process-pool width for each sweep (the engine guarantees
         identical rows at any worker count).
@@ -95,19 +131,17 @@ def reproduce_all(
     Returns
     -------
     list[ReproductionArtifact]
-        One record per experiment, in run order.
+        One record per experiment, in :data:`FIGURES` order, then
+        parasitics.
     """
-    config = config if config is not None else SweepConfig()
     output = Path(output_dir)
     output.mkdir(parents=True, exist_ok=True)
     selected = set(experiments) if experiments is not None else None
-
-    artifacts: list[ReproductionArtifact] = []
-    for name, sweep, render, solver in _EXPERIMENTS:
-        if selected is not None and name not in selected:
-            continue
-        rows = sweep(solver, config, workers=workers)
-        artifacts.append(_write(output, name, rows, render(rows)))
+    names = [n for n in FIGURES if selected is None or n in selected]
+    artifacts = [
+        _write(output, name, rows, table)
+        for name, rows, table in run_figures(names, config, workers=workers)
+    ]
     if selected is None or "parasitics" in selected:
         rows = parasitics_sweep()
         artifacts.append(

@@ -107,7 +107,6 @@ def _remote_attempt(
     fingerprint: str,
     member_id: int,
     operator_blob: bytes | None,
-    trace_iterations: bool,
     deadline_budget_s: float | None,
     initial_state,
     record: bool,
@@ -149,7 +148,6 @@ def _remote_attempt(
             operator,
             warm,
             span,
-            trace=trace_iterations,
             initial_state=initial_state,
         )
     # Detach the child-local tracer before shipping the operator back:
@@ -423,7 +421,6 @@ class ConcurrentDispatcher:
                 item.fingerprint,
                 member.member_id,
                 blob,
-                service.config.trace_iterations,
                 budget,
                 item.initial_state,
                 item.record,

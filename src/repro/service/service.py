@@ -180,8 +180,6 @@ class ServiceConfig:
         exhausted, or ``None`` to report the failure.
     max_drains:
         Drain/recover cycles before a pool member is retired.
-    trace_iterations:
-        Record per-iteration diagnostics in each job's result.
     breaker:
         Per-pool-member circuit-breaker policy, or ``None`` to disable
         breakers.
@@ -257,7 +255,6 @@ class ServiceConfig:
     )
     digital_fallback: str | None = None
     max_drains: int = 2
-    trace_iterations: bool = False
     breaker: BreakerPolicy | None = dataclasses.field(
         default_factory=BreakerPolicy
     )
@@ -560,7 +557,6 @@ def run_served_attempt(
     warm: bool,
     span,
     *,
-    trace: bool,
     initial_state: tuple | None,
 ) -> tuple[SolverResult, int, int, float]:
     """Solve one just-placed attempt with crash isolation, then price it.
@@ -576,9 +572,7 @@ def run_served_attempt(
     baseline = operator.write_report if warm else _NO_WRITES
     program_cells = (operator.write_report - baseline).cells_written
     try:
-        result = solver.solve_on(
-            operator, trace=trace, initial_state=initial_state
-        )
+        result = solver.solve_on(operator, initial_state=initial_state)
     except Exception as exc:  # noqa: BLE001 - isolation
         result = _failed_result(
             solver.problem,
@@ -1269,7 +1263,6 @@ class SolverService:
                 member.operator,
                 item.warm,
                 item.span,
-                trace=self.config.trace_iterations,
                 initial_state=item.initial_state,
             )
             if self.config.device_latency_s > 0:

@@ -18,7 +18,7 @@ from repro.core.result import (
     SolveStatus,
     with_attempts,
 )
-from repro.experiments import SweepConfig, accuracy_sweep
+from repro.experiments import SweepConfig, run_sweep
 from repro.reliability import AttemptRecord, ProbeReport, RecoveryAction
 
 TINY = SweepConfig(sizes=(8,), variations=(0,), trials=1)
@@ -26,7 +26,7 @@ TINY = SweepConfig(sizes=(8,), variations=(0,), trials=1)
 
 @pytest.fixture(scope="module")
 def rows():
-    return accuracy_sweep("reference", TINY)
+    return run_sweep("feasible", "reference", TINY).rows
 
 
 class TestFlatten:

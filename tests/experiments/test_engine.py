@@ -9,8 +9,8 @@ from repro.analysis import reconcile_with_counters
 from repro.experiments import (
     CellKey,
     SweepConfig,
-    accuracy_sweep,
     grid_keys,
+    infeasibility_sweep,
     run_sweep,
     sweep_fingerprint,
 )
@@ -27,23 +27,23 @@ CRASH_SPEC = "tests.experiments.crash_spec:SPEC"
 
 class TestDeterminism:
     def test_workers_1_vs_4_rows_identical(self):
-        serial = run_sweep("accuracy", "crossbar", TINY, workers=1)
-        parallel = run_sweep("accuracy", "crossbar", TINY, workers=4)
+        serial = run_sweep("feasible", "crossbar", TINY, workers=1)
+        parallel = run_sweep("feasible", "crossbar", TINY, workers=4)
         # Bit-identical: dataclass equality compares every float
         # exactly, and the rendered tables match byte for byte.
         assert serial.rows == parallel.rows
-        spec = resolve_spec("accuracy")
+        spec = resolve_spec("feasible")
         assert spec.render(serial.rows) == spec.render(parallel.rows)
 
     def test_sweep_wrapper_matches_engine(self):
-        rows = accuracy_sweep("reference", CHEAP, workers=2)
-        assert rows == run_sweep("accuracy", "reference", CHEAP).rows
+        rows = infeasibility_sweep("reference", CHEAP, workers=2)
+        assert rows == run_sweep("infeasibility", "reference", CHEAP).rows
 
     def test_fingerprint_distinguishes_grids(self):
-        a = sweep_fingerprint("accuracy", "crossbar", TINY)
-        b = sweep_fingerprint("accuracy", "crossbar", CHEAP)
-        c = sweep_fingerprint("accuracy", "reference", TINY)
-        d = sweep_fingerprint("latency", "crossbar", TINY)
+        a = sweep_fingerprint("feasible", "crossbar", TINY)
+        b = sweep_fingerprint("feasible", "crossbar", CHEAP)
+        c = sweep_fingerprint("feasible", "reference", TINY)
+        d = sweep_fingerprint("infeasibility", "crossbar", TINY)
         assert len({a, b, c, d}) == 4
 
     def test_grid_keys_order(self):
@@ -56,11 +56,11 @@ class TestResume:
     def test_resume_skips_completed_cells(self, tmp_path):
         cache = tmp_path / "cells.jsonl"
         first = run_sweep(
-            "accuracy", "reference", CHEAP, cache_path=cache
+            "feasible", "reference", CHEAP, cache_path=cache
         )
         assert first.executed == 4 and first.skipped == 0
         second = run_sweep(
-            "accuracy", "reference", CHEAP, cache_path=cache, workers=2
+            "feasible", "reference", CHEAP, cache_path=cache, workers=2
         )
         assert second.executed == 0 and second.skipped == 4
         assert second.rows == first.rows
@@ -68,21 +68,94 @@ class TestResume:
     def test_interrupted_cache_reruns_missing_cells(self, tmp_path):
         cache = tmp_path / "cells.jsonl"
         first = run_sweep(
-            "accuracy", "reference", CHEAP, cache_path=cache
+            "feasible", "reference", CHEAP, cache_path=cache
         )
         lines = cache.read_text().splitlines()
         cache.write_text("\n".join(lines[:-2]) + "\n")  # drop 2 cells
         resumed = run_sweep(
-            "accuracy", "reference", CHEAP, cache_path=cache
+            "feasible", "reference", CHEAP, cache_path=cache
         )
         assert resumed.executed == 2 and resumed.skipped == 2
         assert resumed.rows == first.rows
 
+    @staticmethod
+    def cut_last_line(cache):
+        """Leave the cache as a run killed mid-append would."""
+        text = cache.read_text()
+        last = text.splitlines()[-1]
+        cache.write_text(text[: -len(last) - 1] + last[: len(last) // 2])
+
+    def test_cut_last_line_resumes(self, tmp_path):
+        cache = tmp_path / "cells.jsonl"
+        first = run_sweep(
+            "feasible", "reference", CHEAP, cache_path=cache
+        )
+        self.cut_last_line(cache)
+        resumed = run_sweep(
+            "feasible", "reference", CHEAP, cache_path=cache
+        )
+        assert resumed.executed == 1 and resumed.skipped == 3
+        assert resumed.rows == first.rows
+
+    def test_append_after_cut_line_gets_its_own_line(self, tmp_path):
+        cache = tmp_path / "cells.jsonl"
+        first = run_sweep(
+            "feasible", "reference", CHEAP, cache_path=cache
+        )
+        self.cut_last_line(cache)
+        fingerprint = sweep_fingerprint("feasible", "reference", CHEAP)
+        reopened = SweepCache(cache, fingerprint)
+        assert len(reopened.completed) == 3
+        reopened.append(first.outcomes[-1])
+        kinds = [
+            json.loads(line)["kind"]
+            for line in cache.read_text().splitlines()
+        ]
+        assert kinds == ["header"] + ["cell"] * 4
+
+    def test_complete_last_line_without_newline_is_kept(self, tmp_path):
+        cache = tmp_path / "cells.jsonl"
+        first = run_sweep(
+            "feasible", "reference", CHEAP, cache_path=cache
+        )
+        cache.write_text(cache.read_text().rstrip("\n"))
+        fingerprint = sweep_fingerprint("feasible", "reference", CHEAP)
+        reopened = SweepCache(cache, fingerprint)
+        assert len(reopened.completed) == 4
+        reopened.append(first.outcomes[0])
+        lines = cache.read_text().splitlines()
+        assert [json.loads(line)["kind"] for line in lines] == (
+            ["header"] + ["cell"] * 5
+        )
+
+    def test_corrupt_middle_line_still_raises(self, tmp_path):
+        cache = tmp_path / "cells.jsonl"
+        run_sweep("feasible", "reference", CHEAP, cache_path=cache)
+        lines = cache.read_text().splitlines()
+        lines[2] = lines[2][: len(lines[2]) // 2]
+        cache.write_text("\n".join(lines) + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            run_sweep("feasible", "reference", CHEAP, cache_path=cache)
+
+    def test_untraced_resume_of_traced_cache(self, tmp_path):
+        cache = tmp_path / "cells.jsonl"
+        first = run_sweep(
+            "feasible",
+            "reference",
+            CHEAP,
+            cache_path=cache,
+            tracer=RecordingTracer(),
+        )
+        resumed = run_sweep(
+            "feasible", "reference", CHEAP, cache_path=cache
+        )
+        assert resumed.executed == 0 and resumed.rows == first.rows
+
     def test_cache_bound_to_fingerprint(self, tmp_path):
         cache = tmp_path / "cells.jsonl"
-        run_sweep("accuracy", "reference", CHEAP, cache_path=cache)
+        run_sweep("feasible", "reference", CHEAP, cache_path=cache)
         with pytest.raises(ValueError, match="different sweep"):
-            run_sweep("accuracy", "crossbar", CHEAP, cache_path=cache)
+            run_sweep("feasible", "crossbar", CHEAP, cache_path=cache)
 
     def test_cache_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.jsonl"
@@ -129,9 +202,9 @@ class TestFailureIsolation:
 class TestTraceMerge:
     def test_parallel_counters_match_serial(self):
         serial, parallel = RecordingTracer(), RecordingTracer()
-        run_sweep("accuracy", "crossbar", CHEAP, tracer=serial)
+        run_sweep("feasible", "crossbar", CHEAP, tracer=serial)
         run_sweep(
-            "accuracy", "crossbar", CHEAP, tracer=parallel, workers=2
+            "feasible", "crossbar", CHEAP, tracer=parallel, workers=2
         )
         assert serial.counters == parallel.counters
         assert serial.counters["sweep.trials"] == 4.0
@@ -139,7 +212,7 @@ class TestTraceMerge:
     def test_sweep_cell_spans_carry_worker_ids(self):
         tracer = RecordingTracer()
         run_sweep(
-            "accuracy", "reference", CHEAP, tracer=tracer, workers=2
+            "feasible", "reference", CHEAP, tracer=tracer, workers=2
         )
         cells = [
             event
@@ -158,7 +231,7 @@ class TestTraceMerge:
     def test_merged_span_ids_unique_and_linked(self):
         tracer = RecordingTracer()
         run_sweep(
-            "accuracy", "crossbar", CHEAP, tracer=tracer, workers=2
+            "feasible", "crossbar", CHEAP, tracer=tracer, workers=2
         )
         spans = [e for e in tracer.events if hasattr(e, "parent_id")]
         ids = [s.span_id for s in spans]
@@ -179,7 +252,7 @@ class TestTraceMerge:
         config = SweepConfig(sizes=(8,), variations=(0,), trials=1)
         tracer = RecordingTracer()
         run_sweep(
-            "accuracy", "crossbar", config, tracer=tracer, workers=2
+            "feasible", "crossbar", config, tracer=tracer, workers=2
         )
 
         seed = cell_seed(config, 8, 0, 0)
@@ -195,24 +268,30 @@ class TestTraceMerge:
 
 class TestBatchedTrials:
     def test_batched_rows_bit_identical_serial(self):
-        serial = run_sweep("accuracy", "crossbar", TINY, workers=1)
+        serial = run_sweep("feasible", "crossbar", TINY, workers=1)
         batched = run_sweep(
-            "accuracy", "crossbar", TINY, workers=1, batch_trials=True
+            "feasible", "crossbar", TINY, workers=1, batch_trials=True
         )
         assert serial.rows == batched.rows
-        spec = resolve_spec("accuracy")
+        spec = resolve_spec("feasible")
         assert spec.render(serial.rows) == spec.render(batched.rows)
+        # The lockstep path prices latency and energy, per solved trial.
+        assert all(
+            row.latency.count == row.energy.count == row.solved
+            for row in batched.rows
+        )
+        assert sum(row.solved for row in batched.rows) > 0
 
     def test_batched_parallel_workers_identical(self):
-        serial = run_sweep("accuracy", "crossbar", TINY, workers=1)
+        serial = run_sweep("feasible", "crossbar", TINY, workers=1)
         batched = run_sweep(
-            "accuracy", "crossbar", TINY, workers=4, batch_trials=True
+            "feasible", "crossbar", TINY, workers=4, batch_trials=True
         )
         assert serial.rows == batched.rows
 
     def test_reference_solver_ignores_batching(self):
-        serial = run_sweep("accuracy", "reference", CHEAP, workers=1)
+        serial = run_sweep("feasible", "reference", CHEAP, workers=1)
         batched = run_sweep(
-            "accuracy", "reference", CHEAP, workers=1, batch_trials=True
+            "feasible", "reference", CHEAP, workers=1, batch_trials=True
         )
         assert serial.rows == batched.rows

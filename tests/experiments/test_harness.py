@@ -1,24 +1,27 @@
 """Tests for the experiment harness (sweeps and rendering)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.experiments.feasible as feasible
 from repro.core import SolverResult
+from repro.core.result import SolveStatus
 from repro.experiments import (
     SOLVER_NAMES,
     SweepConfig,
-    accuracy_sweep,
-    energy_sweep,
     infeasibility_sweep,
-    latency_sweep,
     paper_scale,
     render_accuracy,
     render_energy,
     render_infeasibility,
     render_latency,
+    run_sweep,
     settings_for,
     solver_for,
 )
+from repro.experiments.engine import CELL_CRASHED
 from repro.experiments.runner import cell_seed
 from repro.workloads import random_feasible_lp
 
@@ -81,7 +84,7 @@ class TestRunner:
 
 class TestSweeps:
     def test_accuracy_rows(self):
-        rows = accuracy_sweep("crossbar", TINY)
+        rows = run_sweep("feasible", "crossbar", TINY).rows
         assert len(rows) == 1
         row = rows[0]
         assert row.solved == 2
@@ -91,17 +94,17 @@ class TestSweeps:
         assert "crossbar" in text
 
     def test_latency_rows(self):
-        rows = latency_sweep("crossbar", TINY)
+        rows = run_sweep("feasible", "crossbar", TINY).rows
         row = rows[0]
-        assert row.crossbar.mean > 0
+        assert row.latency.mean > 0
         assert row.linprog_s > 0
         assert row.speedup_vs_linprog > 0
         assert "speedup" in render_latency(rows)
 
     def test_energy_rows(self):
-        rows = energy_sweep("crossbar", TINY)
+        rows = run_sweep("feasible", "crossbar", TINY).rows
         row = rows[0]
-        assert row.crossbar.mean > 0
+        assert row.energy.mean > 0
         assert row.gain_vs_linprog > 0
         assert "crossbar_J" in render_energy(rows)
 
@@ -113,6 +116,23 @@ class TestSweeps:
         assert row.speedup_vs_linprog > 0
         assert "detected" in render_infeasibility(rows)
 
+    def test_truth_without_optimum_crashes_the_cell(self, monkeypatch):
+        # A feasible, bounded LP always has an optimum: a HiGHS truth
+        # without one is an error the engine records, not a skip.
+        real = feasible.solve_scipy
+        monkeypatch.setattr(
+            feasible,
+            "solve_scipy",
+            lambda problem: dataclasses.replace(
+                real(problem), status=SolveStatus.NUMERICAL_FAILURE
+            ),
+        )
+        run = run_sweep("feasible", "reference", TINY)
+        assert [o.failure.failure_reason for o in run.failures] == [
+            CELL_CRASHED
+        ] * 2
+        assert run.rows[0].solved == 0
+
     def test_reference_solver_sweep(self):
-        rows = accuracy_sweep("reference", TINY)
+        rows = run_sweep("feasible", "reference", TINY).rows
         assert rows[0].error.mean < 1e-4

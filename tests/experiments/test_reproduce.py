@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.experiments.reproduce as reproduce
 from repro.experiments import SweepConfig, reproduce_all
 
 TINY = SweepConfig(sizes=(8,), variations=(0,), trials=1)
@@ -41,3 +42,21 @@ class TestReproduceAll:
         target = tmp_path / "deep" / "dir"
         reproduce_all(target, TINY, experiments=("fig5a",))
         assert (target / "fig5a.txt").exists()
+
+    def test_figs_5_to_7_share_one_sweep(self, tmp_path, monkeypatch):
+        sweeps = []
+        real = reproduce.run_sweep
+
+        def counting(experiment, solver, *args, **kwargs):
+            sweeps.append((experiment, solver))
+            return real(experiment, solver, *args, **kwargs)
+
+        monkeypatch.setattr(reproduce, "run_sweep", counting)
+        artifacts = reproduce_all(
+            tmp_path, TINY, experiments=("fig5a", "fig6a", "fig7a")
+        )
+        assert sweeps == [("feasible", "crossbar")]
+        assert [a.name for a in artifacts] == ["fig5a", "fig6a", "fig7a"]
+        assert "mean_rel_err" in artifacts[0].table_path.read_text()
+        assert "crossbar_ms" in artifacts[1].table_path.read_text()
+        assert "crossbar_J" in artifacts[2].table_path.read_text()

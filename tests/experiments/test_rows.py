@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import SampleStats
-from repro.experiments import EnergyRow, InfeasibilityRow, LatencyRow
+from repro.experiments import FeasibleRow, InfeasibilityRow
 
 
 def stats(mean, count=3):
@@ -15,48 +15,39 @@ def stats(mean, count=3):
 EMPTY = SampleStats.from_samples([])
 
 
-class TestLatencyRow:
-    def make(self, crossbar):
-        return LatencyRow(
+class TestFeasibleRow:
+    def make(self, latency=EMPTY, energy=EMPTY):
+        return FeasibleRow(
             solver="crossbar",
             constraints=64,
             variation_percent=10,
-            solved=3,
             trials=3,
-            crossbar=crossbar,
+            solved=3,
+            error=EMPTY,
+            iterations=EMPTY,
+            latency=latency,
+            energy=energy,
             linprog_s=1.0,
             pdip_matlab_s=2.0,
-        )
-
-    def test_speedup(self):
-        assert self.make(stats(0.01)).speedup_vs_linprog == (
-            pytest.approx(100.0)
-        )
-
-    def test_speedup_zero_when_unsolved(self):
-        assert self.make(EMPTY).speedup_vs_linprog == 0.0
-
-
-class TestEnergyRow:
-    def make(self, crossbar):
-        return EnergyRow(
-            solver="crossbar",
-            constraints=64,
-            variation_percent=10,
-            solved=3,
-            trials=3,
-            crossbar=crossbar,
             linprog_j=10.0,
             pdip_matlab_j=20.0,
         )
 
+    def test_speedup(self):
+        assert self.make(latency=stats(0.01)).speedup_vs_linprog == (
+            pytest.approx(100.0)
+        )
+
+    def test_speedup_zero_when_unsolved(self):
+        assert self.make().speedup_vs_linprog == 0.0
+
     def test_gain(self):
-        assert self.make(stats(0.1)).gain_vs_linprog == (
+        assert self.make(energy=stats(0.1)).gain_vs_linprog == (
             pytest.approx(100.0)
         )
 
     def test_gain_zero_when_unsolved(self):
-        assert self.make(EMPTY).gain_vs_linprog == 0.0
+        assert self.make().gain_vs_linprog == 0.0
 
 
 class TestInfeasibilityRow:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import repro.experiments.reproduce as reproduce
 from repro.__main__ import build_parser, main
+from repro.experiments import SweepConfig
 from repro.obs import read_trace_jsonl
 
 
@@ -165,11 +167,37 @@ class TestParser:
         args = build_parser().parse_args(["figures", "all"])
         assert args.targets == ["all"]
 
+    def test_both_infeasibility_figures_accepted(self):
+        args = build_parser().parse_args(
+            ["figures", "infeasibility_s1", "infeasibility_s2"]
+        )
+        assert args.targets == ["infeasibility_s1", "infeasibility_s2"]
+
+
+class TestFiguresCommand:
+    def test_figs_5_to_7_run_one_sweep(self, capsys, monkeypatch):
+        tiny = SweepConfig(sizes=(8,), variations=(0,), trials=1)
+        sweeps = []
+        real = reproduce.run_sweep
+
+        def counting(experiment, solver, config, **kwargs):
+            sweeps.append((experiment, solver))
+            return real(experiment, solver, tiny, **kwargs)
+
+        monkeypatch.setattr(reproduce, "run_sweep", counting)
+        assert main(["figures", "fig5a", "fig6a", "fig7a"]) == 0
+        assert sweeps == [("feasible", "crossbar")]
+        out = capsys.readouterr().out
+        for name in ("fig5a", "fig6a", "fig7a"):
+            assert f"=== {name} (crossbar) ===" in out
+        for column in ("mean_rel_err", "crossbar_ms", "crossbar_J"):
+            assert column in out
+
 
 class TestSweepCommand:
     ARGS = [
         "sweep",
-        "accuracy",
+        "feasible",
         "--solver",
         "reference",
         "--sizes",
