@@ -312,7 +312,7 @@ class SweepCache:
         data = self.path.read_bytes()
         lines = data.split(b"\n")
         tail = lines.pop()  # empty when the file ends in a newline
-        header = json.loads(lines[0] if lines else tail)
+        header = json.loads(lines[0]) if lines else {}
         if header.get("format") != CACHE_FORMAT:
             raise ValueError(
                 f"{self.path} is not a {CACHE_FORMAT} file"
@@ -326,18 +326,11 @@ class SweepCache:
             )
         if tail:
             # A run killed mid-append leaves its last line without a
-            # newline.  Drop it if it does not parse (its cell re-runs),
-            # else just end it, so the next append gets a line of its
-            # own.  A malformed line anywhere else still raises below.
-            try:
-                json.loads(tail)
-            except ValueError:
-                with self.path.open("r+b") as handle:
-                    handle.truncate(len(data) - len(tail))
-            else:
-                lines.append(tail)
-                with self.path.open("ab") as handle:
-                    handle.write(b"\n")
+            # newline.  Cut it off: its cell re-runs, and the next
+            # append gets a line of its own.  A malformed line anywhere
+            # else still raises below.
+            with self.path.open("r+b") as handle:
+                handle.truncate(len(data) - len(tail))
         for line in lines[1:]:
             if not line.strip():
                 continue

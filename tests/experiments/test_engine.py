@@ -113,21 +113,6 @@ class TestResume:
         ]
         assert kinds == ["header"] + ["cell"] * 4
 
-    def test_complete_last_line_without_newline_is_kept(self, tmp_path):
-        cache = tmp_path / "cells.jsonl"
-        first = run_sweep(
-            "feasible", "reference", CHEAP, cache_path=cache
-        )
-        cache.write_text(cache.read_text().rstrip("\n"))
-        fingerprint = sweep_fingerprint("feasible", "reference", CHEAP)
-        reopened = SweepCache(cache, fingerprint)
-        assert len(reopened.completed) == 4
-        reopened.append(first.outcomes[0])
-        lines = cache.read_text().splitlines()
-        assert [json.loads(line)["kind"] for line in lines] == (
-            ["header"] + ["cell"] * 5
-        )
-
     def test_corrupt_middle_line_still_raises(self, tmp_path):
         cache = tmp_path / "cells.jsonl"
         run_sweep("feasible", "reference", CHEAP, cache_path=cache)
