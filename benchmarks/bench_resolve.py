@@ -34,8 +34,7 @@ DRIFT = 0.02
 
 
 def run_stream(*, warm: bool):
-    """One pass over the stream; returns (records, summary, tracer, s)."""
-    tracer = RecordingTracer()
+    """One pass over the stream; returns (records, summary, service, s)."""
     service = SolverService(
         ServiceConfig(
             pool_size=1,
@@ -43,7 +42,7 @@ def run_stream(*, warm: bool):
             cache_enabled=warm,
             warm_start=warm,
         ),
-        tracer=tracer,
+        tracer=RecordingTracer(),
     )
     _, specs = rolling_horizon_stream(
         STEPS, constraints=CONSTRAINTS, seed=SEED, drift=DRIFT
@@ -52,17 +51,17 @@ def run_stream(*, warm: bool):
         records, summary = service.batch(specs)
     assert summary.failed == 0
     assert len(records) == STEPS + 1
-    return records, summary, tracer, clock.elapsed_seconds
+    return records, summary, service, clock.elapsed_seconds
 
 
 @pytest.mark.benchmark(group="resolve")
 def test_warm_resolve_stream_vs_cold(benchmark, perf_record):
-    cold_records, _, cold_tracer, cold_s = run_stream(warm=False)
+    cold_records, _, cold_service, cold_s = run_stream(warm=False)
 
     def run():
         return run_stream(warm=True)
 
-    records, summary, tracer, warm_s = benchmark.pedantic(
+    records, summary, service, warm_s = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
 
@@ -81,9 +80,10 @@ def test_warm_resolve_stream_vs_cold(benchmark, perf_record):
         f"warm re-solves wrote {resolve_program_cells} programming "
         f"cells; the re-solve tier must write none"
     )
-    assert tracer.counters["service.resolve.program_cells"] == 0.0
+    registry = service.telemetry.registry
+    assert registry.counter_value("service.resolve.program_cells") == 0.0
     assert (
-        tracer.counters["service.resolve.warm_placements"] == STEPS
+        registry.counter_value("service.resolve.warm_placements") == STEPS
     )
 
     # Gate 2: the warm stream is at least 3x faster wall-clock.
@@ -95,8 +95,8 @@ def test_warm_resolve_stream_vs_cold(benchmark, perf_record):
 
     # Cells the cold arm wrote for the same work (program + iteration
     # diagonals) vs the warm arm's iteration-only writes.
-    warm_cells = tracer.counters["crossbar.cells_written"]
-    cold_cells = cold_tracer.counters["crossbar.cells_written"]
+    warm_cells = service.tracer.counters["crossbar.cells_written"]
+    cold_cells = cold_service.tracer.counters["crossbar.cells_written"]
     cold_program_cells = sum(
         attempt.program_cells
         for record in cold_records

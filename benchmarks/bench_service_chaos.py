@@ -136,7 +136,7 @@ def test_service_under_chaos(benchmark, perf_record, scenario):
     def run():
         return run_campaign(campaign)
 
-    service, specs, records, summary, tracer = benchmark.pedantic(
+    service, specs, records, summary, _ = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
 
@@ -153,6 +153,7 @@ def test_service_under_chaos(benchmark, perf_record, scenario):
 
     latencies = [record.elapsed_seconds for record in records]
     recover = time_to_recover(campaign, records)
+    registry = service.telemetry.registry
     record_fields = {
         "bench": f"service_chaos_{scenario}",
         "scenario": scenario,
@@ -167,9 +168,9 @@ def test_service_under_chaos(benchmark, perf_record, scenario):
         "latency_p99_ms": round(1e3 * exact_quantile(latencies, 0.99), 3),
         "energy_j": summary.energy_j,
         "time_to_recover_jobs": recover,
-        "breaker_opens": tracer.counters.get("pool.breaker.opened", 0),
-        "degradation_sheds": tracer.counters.get(
-            "service.degradation.sheds", 0
+        "breaker_opens": registry.counter_value("pool.breaker.opened"),
+        "degradation_sheds": registry.counter_value(
+            "service.degradation.sheds"
         ),
         "jobs_per_second": summary.jobs_per_second,
     }

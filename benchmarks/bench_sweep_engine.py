@@ -6,15 +6,14 @@ grid, asserts the two produce byte-identical rendered tables (the
 engine's determinism contract), and records both wall-clock times plus
 the measured speedup in a ``BENCH_*.json`` perf record.
 
-The speedup is bounded by the host, and it needs BLAS pinned to one
-thread per process (``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``):
-unpinned, each forked worker starts its own BLAS thread pool and the
-workers oversubscribe the cores.  On a 2-core host a 36-cell
-``feasible`` sweep took 4.0-14.7 s at ``workers=2`` against 2.4-3.3 s
-inline unpinned, and 1.3-1.5 s against 2.2-2.9 s pinned.  On a
-single-core container the pool adds only fork overhead and the ratio
-sits near (or below) 1.0.  ``cpu_count`` is recorded alongside the
-timings so the number can be judged in context.
+The speedup is bounded by the host.  Each worker process pins its
+BLAS to one thread (``repro.backend.blas.pin_blas_threads``), so the
+workers do not oversubscribe the cores: on a 2-core host, in three
+alternating runs of each, a 36-cell ``feasible`` sweep took 4.1-5.4 s
+inline and 2.4-2.6 s at ``workers=2``.  On a single-core
+container the pool adds only fork overhead and the ratio sits near (or
+below) 1.0.  ``cpu_count`` is recorded alongside the timings so the
+number can be judged in context.
 """
 
 import os

@@ -47,8 +47,7 @@ walkthrough — paper figure -> module -> invocation:
   Both run on the sweep engine (repro/experiments/engine.py):
   deterministic per-cell seeding means any --workers count produces
   bit-identical tables, and a --cache-dir cell cache makes long runs
-  resumable.  Pin BLAS to one thread per process
-  (OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1) when --workers > 1.  The
+  resumable; each worker process runs one BLAS thread.  The
   parasitics study (`python -m repro parasitics`) and the NoC
   comparison (benchmarks/bench_noc.py) have no sweep grid and run
   separately.

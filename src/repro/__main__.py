@@ -647,10 +647,8 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
                         default="thread",
                         help="where concurrent solves run: in the "
                              "worker thread (GIL-shared) or a "
-                             "pre-warmed worker-process pool (set "
-                             "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 "
-                             "or its BLAS threads oversubscribe the "
-                             "cores)")
+                             "pre-warmed worker-process pool (one BLAS "
+                             "thread per process)")
     parser.add_argument("--device-latency", type=float, default=0.0,
                         metavar="SECONDS",
                         help="hardware-in-the-loop emulation: each "
@@ -741,10 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="crossbar",
     )
     sweep.add_argument("--workers", type=int, default=1,
-                       help="process-pool width (1 = inline); set "
-                            "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 "
-                            "or the processes' BLAS threads "
-                            "oversubscribe the cores")
+                       help="process-pool width (1 = inline; each "
+                            "process runs one BLAS thread)")
     sweep.add_argument("--resume", default=None, metavar="CACHE",
                        help="JSONL cell cache; created if absent, "
                             "completed cells are skipped on re-run")
@@ -776,10 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument("--paper-scale", action="store_true")
     figures.add_argument("--workers", type=int, default=1,
-                         help="process-pool width for each sweep; "
-                              "set OPENBLAS_NUM_THREADS=1 "
-                              "OMP_NUM_THREADS=1 or the processes' "
-                              "BLAS threads oversubscribe the cores")
+                         help="process-pool width for each sweep "
+                              "(one BLAS thread per process)")
     figures.set_defaults(func=_cmd_figures)
 
     parasitics = sub.add_parser(

@@ -14,7 +14,6 @@ from repro.analysis.spans import (
     render_span_summary,
     replay_counters,
     replay_gauges,
-    replay_histograms,
     span_totals,
 )
 from repro.analysis.tables import format_cell, render_table
@@ -31,7 +30,6 @@ __all__ = [
     "span_totals",
     "replay_counters",
     "replay_gauges",
-    "replay_histograms",
     "render_span_summary",
     "ReconcileRow",
     "reconcile_with_counters",

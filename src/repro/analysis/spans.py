@@ -6,12 +6,9 @@ RecordingTracer` (live, or re-read from a JSONL trace via
 
 - :func:`span_totals` — per-span-name call counts and cumulative
   seconds (the "where did the wall clock go" table);
-- :func:`replay_counters` / :func:`replay_gauges` /
-  :func:`replay_histograms` — counter totals, final gauge values, and
-  per-name streaming histograms recomputed purely from the event
-  stream, optionally restricted to one span's subtree (the offline
-  check that live telemetry — summed ``service.energy_j``, histogram
-  p50/p99 — matches what the trace says happened);
+- :func:`replay_counters` / :func:`replay_gauges` — counter totals
+  and final gauge values recomputed purely from the event stream,
+  optionally restricted to one span's subtree;
 - :func:`reconcile_with_counters` — checks the replayed analog-op
   totals of the *final* solve attempt against the run's
   :class:`~repro.core.result.CrossbarCounters` and iteration count.
@@ -26,7 +23,6 @@ import dataclasses
 import math
 
 from repro.analysis.tables import render_table
-from repro.obs.metrics import StreamingHistogram
 
 #: Tracer counter name -> CrossbarCounters field carrying the same
 #: total.  Integer fields must match exactly; float fields (latency /
@@ -133,32 +129,6 @@ def replay_gauges(events, *, within: str | None = None) -> dict[str, float]:
             continue
         values[event["name"]] = event["value"]
     return values
-
-
-def replay_histograms(
-    events, *, within: str | None = None
-) -> dict[str, StreamingHistogram]:
-    """Per-name streaming histograms rebuilt from ``hist`` events.
-
-    Replaying every observation reproduces the live tracer's
-    aggregates exactly (same bucket scheme, same fold), so a batch's
-    streamed p50/p99 can be audited offline against its own trace.
-    With ``within`` (a span name), only observations attributed to the
-    *last* such span's subtree are folded.
-    """
-    events = _as_dicts(events)
-    scope = _scope_ids(events, within)
-    histograms: dict[str, StreamingHistogram] = {}
-    for event in events:
-        if event["kind"] != "hist":
-            continue
-        if scope is not None and event["span_id"] not in scope:
-            continue
-        hist = histograms.get(event["name"])
-        if hist is None:
-            hist = histograms[event["name"]] = StreamingHistogram()
-        hist.observe(event["value"])
-    return histograms
 
 
 def render_span_summary(events) -> str:

@@ -16,6 +16,10 @@ guarantees **bit-identical experiment rows at any worker count**
   scheduling;
 - aggregation into row dataclasses happens once, in the parent.
 
+Each worker process pins numpy's and scipy's OpenBLAS to one thread
+(:func:`~repro.backend.blas.pin_blas_threads`), so N workers use N
+cores instead of oversubscribing them.
+
 Three further production features:
 
 - **failure isolation** — a cell that raises records a
@@ -49,6 +53,7 @@ import os
 import pathlib
 from typing import Callable, Iterable
 
+from repro.backend.blas import pin_blas_threads
 from repro.experiments.runner import SweepConfig
 from repro.obs.clock import monotonic
 from repro.obs.merge import absorb_events
@@ -573,7 +578,7 @@ def run_sweep(
         chunks = _chunk(pending, workers * 4)
         used_workers = min(workers, len(chunks))
         executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=used_workers
+            max_workers=used_workers, initializer=pin_blas_threads
         )
         batches = executor.map(
             _run_cells,

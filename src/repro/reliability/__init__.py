@@ -28,7 +28,6 @@ from repro.reliability.probe import (
     ProbeReport,
     probe_operator,
     probe_operators,
-    probe_operators_batched,
     probe_tolerance,
 )
 from repro.reliability.recovery import (
@@ -48,7 +47,6 @@ __all__ = [
     "ProbeReport",
     "probe_operator",
     "probe_operators",
-    "probe_operators_batched",
     "probe_tolerance",
     "RecoveryPolicy",
     "FALLBACK_SOLVERS",

@@ -168,22 +168,3 @@ def probe_operators(
         worst, vectors=total_vectors, healthy=not any_unhealthy
     )
 
-
-def probe_operators_batched(
-    named_operators,
-    policy: ProbePolicy,
-    rng: np.random.Generator,
-) -> list[ProbeReport]:
-    """Probe a fleet of arrays; one :class:`ProbeReport` per array.
-
-    Returns one report per ``(label, operator)`` pair, in order: a
-    member-order loop of :func:`probe_operator` over ``rng``, so the
-    probe vectors follow the serial draw sequence exactly.
-    """
-    named = list(named_operators)
-    if not named:
-        raise ValueError("no operators to probe")
-    return [
-        probe_operator(operator, policy, rng, label=label)
-        for label, operator in named
-    ]

@@ -32,9 +32,10 @@ Two executor modes, chosen by ``config.executor``:
   (result, trace events when the service records, operator state,
   write counts, energy); the parent *installs* the returned state and
   concludes.  True parallel solves, paid for by pickling operator
-  state both ways.  (The sustained-load benchmark,
-  ``benchmarks/bench_service.py``, runs the thread executor with
-  emulated device latency.)
+  state both ways; each child pins its BLAS to one thread
+  (:func:`~repro.backend.blas.pin_blas_threads`).  (The sustained-load
+  benchmark, ``benchmarks/bench_service.py``, runs the thread executor
+  with emulated device latency.)
 
 Either way the member stays BUSY until ``_conclude`` releases it
 under the lock, and ``_dispatch`` pops nothing while every schedulable
@@ -47,15 +48,15 @@ tenants at their :attr:`~repro.service.queue.TenantPolicy.max_in_flight`
 cap as ``blocked`` to the queue's DRR election, so a tenant can never
 hold more than its cap of the fleet no matter its submit rate.
 
-Reconciliation: every ``_conclude`` (registry increments, record
-append, trace absorption) runs under the one lock in completion
-order, so live telemetry totals, the record stream, and trace replay
-agree exactly even though that order is timing-dependent.  Scheduler-
-lock contention is itself measured: each worker's lock-acquisition
-wait feeds the ``service.lock.acquires`` / ``service.lock.wait_s``
-registry counters (registry only — never the tracer, which must stay
-byte-identical in ``workers=1`` replay and deterministic-total in
-concurrent runs).
+Counting: every ``_conclude`` (registry writes, record append, trace
+absorption) runs under the one lock in completion order, and each
+service number is written once, into the telemetry registry, so the
+live totals equal the folds over the record stream even though that
+order is timing-dependent.  Scheduler-lock contention is itself
+measured: each worker's lock-acquisition wait feeds the
+``service.lock.acquires`` / ``service.lock.wait_s`` registry
+counters; a trace carries only spans and the attempts' engine events,
+so it stays byte-identical in ``workers=1`` replay.
 
 Threads never fork: in process mode all children are spawned before
 the first worker thread starts, so no lock can be held across a fork.
@@ -71,6 +72,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.backend.blas import pin_blas_threads
 from repro.core.result import FailureReason
 from repro.obs.clock import Deadline
 from repro.obs.tracer import NOOP
@@ -191,7 +193,9 @@ class ConcurrentDispatcher:
         coordinating thread.
         """
         if self.remote:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=pin_blas_threads
+            )
             for future in [
                 self._executor.submit(_warm_child)
                 for _ in range(self.workers)
@@ -308,13 +312,6 @@ class ConcurrentDispatcher:
                 blocked.add(tenant)
         return frozenset(blocked)
 
-    def _note_lock_wait(self, waited_s: float) -> None:
-        """Feed one lock-acquisition wait into the telemetry registry
-        (lock held; registry-only so traces stay deterministic)."""
-        telemetry = self.service.telemetry
-        if telemetry is not None:
-            telemetry.on_lock_wait(waited_s)
-
     def _deliver(self, record: JobRecord) -> None:
         """Append a completed record and fire the callback (lock held,
         so completion order and callback order agree)."""
@@ -338,7 +335,9 @@ class ConcurrentDispatcher:
                     service._execute(item)
                 started = time.perf_counter()
                 with self._cond:
-                    self._note_lock_wait(time.perf_counter() - started)
+                    service.telemetry.on_lock_wait(
+                        time.perf_counter() - started
+                    )
                     record = service._conclude(item)
                     tenant = item.pending.tenant
                     self._inflight[tenant] -= 1
@@ -358,7 +357,7 @@ class ConcurrentDispatcher:
         service = self.service
         started = time.perf_counter()
         with self._cond:
-            self._note_lock_wait(time.perf_counter() - started)
+            service.telemetry.on_lock_wait(time.perf_counter() - started)
             while True:
                 if self._failure is not None:
                     return None

@@ -33,7 +33,7 @@ Endpoints (all JSON / JSONL, no dependencies beyond the stdlib):
   default 0) long-polls for at least one new record.  Clients resume
   by passing the last ``seq + 1``.
 - ``GET /stats`` — the live one-line telemetry summary plus raw
-  counts, when the service has telemetry attached.
+  counts.
 - ``GET /healthz`` — liveness plus queue depth and brownout tier.
 
 Thread safety: handler threads touch the service only through its
@@ -228,11 +228,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _stats(self) -> None:
         telemetry = self.server.door.service.telemetry
-        if telemetry is None:
-            self._reply_json(
-                404, {"error": "service has no telemetry attached"}
-            )
-            return
         self._reply_json(
             200,
             {

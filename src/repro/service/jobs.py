@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import pathlib
 from typing import Iterable, Iterator
 
@@ -43,6 +44,40 @@ JOB_KINDS = ("feasible", "infeasible")
 
 #: Tenant a spec bills to when none is named.
 DEFAULT_TENANT = "default"
+
+#: Spec field -> (required type, its name in the error).  ``bool`` is
+#: rejected wherever a number is expected.
+_FIELD_TYPES = {
+    "job_id": (str, "a string"),
+    "base_job_id": (str, "a string"),
+    "tenant": (str, "a string"),
+    "constraints": (numbers.Integral, "an integer"),
+    "group": (numbers.Integral, "an integer"),
+    "priority": (numbers.Integral, "an integer"),
+    "max_attempts": (numbers.Integral, "an integer"),
+    "variation": (numbers.Real, "a number"),
+    "deadline_s": (numbers.Real, "a number"),
+    "perturb": (numbers.Real, "a number"),
+}
+
+#: Spec fields that may be ``None`` (inherit the service default).
+_OPTIONAL_FIELDS = ("max_attempts", "deadline_s")
+
+
+def _check_field_types(spec) -> None:
+    """Raise ``TypeError`` for a wrongly typed field of ``spec``, so a
+    bad JSONL line fails when its spec is built, not inside the
+    scheduler."""
+    for name, (required, label) in _FIELD_TYPES.items():
+        if not hasattr(spec, name):
+            continue
+        value = getattr(spec, name)
+        if value is None and name in _OPTIONAL_FIELDS:
+            continue
+        if isinstance(value, bool) or not isinstance(value, required):
+            raise TypeError(
+                f"{name} must be {label}, got {type(value).__name__}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,6 +134,7 @@ class JobSpec:
     max_attempts: int | None = None
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if not self.job_id:
             raise ValueError("job_id must be non-empty")
         if not self.tenant:
@@ -174,6 +210,7 @@ class ResolveSpec:
     perturb: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if not self.job_id:
             raise ValueError("job_id must be non-empty")
         if not self.base_job_id:

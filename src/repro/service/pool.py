@@ -33,13 +33,14 @@ members that keep failing *without* tripping the health probe —
 marginal arrays the drain ladder never sees — before they eat the
 retry budget of every job placed on them.
 
-All state transitions emit ``pool.*`` counters on the pool's tracer so
-a batch trace shows warm/cold placement decisions, evictions, drains,
-recoveries, retirements, and breaker trips.
+Every state transition is counted once, as a ``pool.*`` series of the
+pool's :class:`~repro.obs.metrics.MetricsRegistry` (the service's
+telemetry registry): warm/cold placements, evictions, drains,
+recoveries, retirements, injected faults, and breaker transitions.
 
 Thread safety: every public method is atomic under the pool's lock.
 The concurrent service passes its *own* scheduler lock in, so pool
-transitions, tracer emission, and queue decisions serialize on one
+transitions, registry writes, and queue decisions serialize on one
 lock — a BUSY member is then touched by exactly one worker until
 released.  The lock covers bookkeeping, not the solve: compute on an
 acquired member runs lock-free (the member is BUSY, so no other
@@ -60,13 +61,9 @@ import numpy as np
 
 from repro.crossbar.ops import AnalogMatrixOperator
 from repro.exceptions import ServiceError
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NOOP, Tracer
-from repro.reliability.probe import (
-    ProbePolicy,
-    ProbeReport,
-    probe_operator,
-    probe_operators_batched,
-)
+from repro.reliability.probe import ProbePolicy, probe_operator
 from repro.service.resilience import (
     BREAKER_STATE_GAUGE,
     BreakerPolicy,
@@ -107,7 +104,6 @@ class PoolMember:
         self.operator: AnalogMatrixOperator | None = None
         self.fingerprint: str | None = None
         self.programmer: Programmer | None = None
-        self.jobs_served = 0
         self.drains = 0
         self.last_used = -1
         #: Pending chaos fault: ``(row_fraction, sticky)``.  Applied to
@@ -158,20 +154,23 @@ class CrossbarPool:
     rng:
         Generator driving recovery-time reprogram draws.
     tracer:
-        Sink of the ``pool.*`` counters.
+        Tracer a recovery reprogram writes its engine events to.
     breaker:
         Per-member circuit-breaker policy; ``None`` disables breakers
         (every member always passes the breaker gate).
+    registry:
+        Where the ``pool.*`` counters and the ``pool.breaker.state``
+        gauge are written; ``None`` creates a private registry.
     on_breaker_transition:
         Optional ``(member_id, old, new, tick)`` callback invoked on
         every breaker state change, *after* the ``pool.breaker.*``
-        counters are emitted — the serving layer's telemetry hook
+        series are written — the serving layer's flight-recorder hook
         (state strings, e.g. ``"closed" -> "open"``).
     lock:
         Re-entrant lock all public methods take; the concurrent
         service passes its scheduler lock so pool transitions and
-        scheduling decisions serialize together (and tracer emission
-        stays single-threaded).  ``None`` creates a private lock.
+        scheduling decisions serialize together (and registry writes
+        stay single-threaded).  ``None`` creates a private lock.
     """
 
     def __init__(
@@ -183,6 +182,7 @@ class CrossbarPool:
         rng: np.random.Generator | None = None,
         tracer: Tracer | None = None,
         breaker: BreakerPolicy | None = None,
+        registry: MetricsRegistry | None = None,
         on_breaker_transition: Callable[
             [int, str, str, int], None
         ] | None = None,
@@ -197,10 +197,10 @@ class CrossbarPool:
         self.max_drains = max_drains
         self.rng = rng if rng is not None else np.random.default_rng()
         self.tracer = tracer if tracer is not None else NOOP
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.members = [PoolMember(index) for index in range(size)]
         self._ticks = itertools.count()
         self._acquires = 0
-        self.breaker_policy = breaker
         self.on_breaker_transition = on_breaker_transition
         if breaker is not None:
             for member in self.members:
@@ -209,10 +209,10 @@ class CrossbarPool:
     def _breaker_call(
         self, member: PoolMember, call: Callable[[int], object], tick: int
     ):
-        """Run one breaker method at ``tick`` and emit the transition
+        """Run one breaker method at ``tick`` and count the transition
         it made, if any (lock held).
 
-        The pool emits after the call instead of handing each breaker
+        The pool counts after the call instead of handing each breaker
         a callback closed over the pool, which would make every
         pool -> member -> breaker chain a reference cycle.
         """
@@ -230,10 +230,11 @@ class CrossbarPool:
                 name = "pool.breaker.half_open"
             else:
                 name = "pool.breaker.closed"
-            self.tracer.count(name)
-            self.tracer.gauge(
-                f"pool.breaker.state.{member.member_id}",
-                BREAKER_STATE_GAUGE[new],
+            self.registry.inc(name)
+            self.registry.set_gauge(
+                "pool.breaker.state",
+                float(BREAKER_STATE_GAUGE[new]),
+                labels={"member": str(member.member_id)},
             )
             if self.on_breaker_transition is not None:
                 self.on_breaker_transition(
@@ -303,7 +304,7 @@ class CrossbarPool:
         """Select and mark a member BUSY *without* programming it.
 
         The process-executor placement path: selection (and its
-        counters) matches :meth:`acquire` exactly, but programming is
+        counts) matches :meth:`acquire` exactly, but programming is
         deferred to the worker child — a cold reservation evicts the
         member's old program immediately and leaves ``operator`` as
         ``None`` until :meth:`install`; a warm reservation keeps the
@@ -368,11 +369,11 @@ class CrossbarPool:
             if member.breaker is not None and not self._breaker_call(
                 member, member.breaker.allow, tick
             ):
-                self.tracer.count("pool.breaker.rejections")
+                self.registry.inc("pool.breaker.rejections")
                 continue
             candidates.append(member)
         if not candidates:
-            self.tracer.count("pool.placement_failures")
+            self.registry.inc("pool.placement_failures")
             return None, False
 
         warm_hits = [
@@ -382,7 +383,7 @@ class CrossbarPool:
             and member.fingerprint == fingerprint
         ]
         if warm_hits:
-            self.tracer.count("pool.acquire_warm")
+            self.registry.inc("pool.acquire_warm")
             return max(warm_hits, key=lambda m: m.last_used), True
         empty = [
             member
@@ -393,15 +394,14 @@ class CrossbarPool:
             member = empty[0]
         else:
             member = min(candidates, key=lambda m: m.last_used)
-            self.tracer.count("pool.evictions")
-        self.tracer.count("pool.acquire_cold")
+            self.registry.inc("pool.evictions")
+        self.registry.inc("pool.acquire_cold")
         return member, False
 
     def _mark_busy(self, member: PoolMember) -> None:
         """Transition a selected member into BUSY (lock held)."""
         member.state = MemberState.BUSY
         member.last_used = next(self._ticks)
-        member.jobs_served += 1
 
     def release(self, member: PoolMember) -> None:
         """Return a BUSY member to the schedulable set.
@@ -463,7 +463,7 @@ class CrossbarPool:
             if member.state is MemberState.RETIRED:
                 return
             member.state = MemberState.DRAINING
-            self.tracer.count("pool.drains")
+            self.registry.inc("pool.drains")
 
     def recover(self, member: PoolMember) -> bool:
         """Reprogram and re-probe a DRAINING member.
@@ -490,8 +490,7 @@ class CrossbarPool:
                 if member.programmer is None:
                     # Never programmed: nothing to rebuild, back to EMPTY.
                     member.state = MemberState.EMPTY
-                    self.tracer.count("pool.recoveries")
-                    return True
+                    break
                 member.operator = member.programmer(self.rng, self.tracer)
                 self._apply_pending_fault(member, self.rng)
                 if self.probe is not None:
@@ -502,69 +501,17 @@ class CrossbarPool:
                         label=f"pool-{member.member_id}",
                     )
                     if not report.healthy:
-                        self.tracer.count("pool.recover_failures")
+                        self.registry.inc("pool.recover_failures")
                         continue
                 member.state = MemberState.IDLE
-                self.tracer.count("pool.recoveries")
-                return True
-            member.state = MemberState.RETIRED
-            member.operator = None
-            self.tracer.count("pool.retirements")
-            return False
-
-    def audit(
-        self,
-        policy: ProbePolicy | None = None,
-        *,
-        drain_unhealthy: bool = False,
-    ) -> dict[int, "ProbeReport"]:
-        """Health-probe every programmed member in one fleet sweep.
-
-        Drives the probe vectors through all IDLE/BUSY members' arrays
-        (:func:`~repro.reliability.probe.probe_operators_batched`) —
-        the fleet-wide analogue of the per-job probe, for operators
-        sweeping a serving pool between batches.  Reports are
-        per-member :func:`~repro.reliability.probe.probe_operator`
-        calls in member order with the pool rng.  With ``drain_unhealthy``
-        set, failing members leave the schedulable set (the normal
-        :meth:`recover` cycle then applies).
-
-        Uses the pool's configured probe policy by default; raises
-        ``ServiceError`` if neither a policy argument nor a pool
-        policy exists.  Atomic under the pool lock.
-        """
-        policy = policy if policy is not None else self.probe
-        if policy is None:
-            raise ServiceError("no probe policy configured for audit")
-        with self._lock:
-            named = [
-                (member.member_id, member)
-                for member in self.members
-                if member.operator is not None
-            ]
-            if not named:
-                return {}
-            reports = probe_operators_batched(
-                [
-                    (f"pool-{member_id}", member.operator)
-                    for member_id, member in named
-                ],
-                policy,
-                self.rng,
-            )
-            self.tracer.count("pool.audits")
-            outcome: dict[int, ProbeReport] = {}
-            for (member_id, member), report in zip(named, reports):
-                outcome[member_id] = report
-                if not report.healthy:
-                    self.tracer.count("pool.audit_failures")
-                    if drain_unhealthy and member.state in (
-                        MemberState.IDLE,
-                        MemberState.EMPTY,
-                    ):
-                        member.state = MemberState.DRAINING
-                        self.tracer.count("pool.drains")
-            return outcome
+                break
+            else:
+                member.state = MemberState.RETIRED
+                member.operator = None
+                self.registry.inc("pool.retirements")
+                return False
+            self.registry.inc("pool.recoveries")
+            return True
 
     # -- chaos ---------------------------------------------------------------
 
@@ -615,7 +562,7 @@ class CrossbarPool:
                     if sticky:
                         label += ":sticky"
                     member.inflight_fault = label
-            self.tracer.count("pool.faults_injected")
+            self.registry.inc("pool.faults_injected")
 
     def inject_drift(self, member_id: int, magnitude: float = 0.1) -> None:
         """Apply a multiplicative conductance-drift burst to a member.
@@ -637,14 +584,13 @@ class CrossbarPool:
             member = self.members[member_id]
             if member.remote_inflight:
                 member.inflight_fault = f"drift:{magnitude:g}"
-                self.tracer.count("pool.drift_injected")
+            elif member.operator is None:
                 return
-            if member.operator is None:
-                return
-            member.operator.array.apply_drift(magnitude, rng=self.rng)
-            if member.state is MemberState.BUSY:
-                member.inflight_fault = f"drift:{magnitude:g}"
-            self.tracer.count("pool.drift_injected")
+            else:
+                member.operator.array.apply_drift(magnitude, rng=self.rng)
+                if member.state is MemberState.BUSY:
+                    member.inflight_fault = f"drift:{magnitude:g}"
+            self.registry.inc("pool.drift_injected")
 
     def _apply_pending_fault(
         self, member: PoolMember, rng: np.random.Generator

@@ -138,9 +138,6 @@ class PendingJob:
     deadline:
         The job's wall-clock budget, armed at first dispatch (``None``
         until then, and forever when the job has no budget).
-    backoff_total_s:
-        Accumulated retry-backoff delay across requeues (accounting;
-        only *slept* when the backoff policy says so).
     first_dispatch_s:
         Clock reading at first dispatch; lets records report queueing
         and service time separately.  Never serialized.
@@ -158,7 +155,6 @@ class PendingJob:
     problem: object | None = None
     priority_boost: int = 0
     deadline: Deadline | None = None
-    backoff_total_s: float = 0.0
     first_dispatch_s: float | None = None
     submitted_s: float | None = None
 

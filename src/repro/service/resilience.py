@@ -49,7 +49,7 @@ import pathlib
 from typing import Iterable
 
 from repro.obs.clock import Deadline
-from repro.obs.tracer import NOOP, Tracer
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "BackoffPolicy",
@@ -135,7 +135,7 @@ class BreakerState(enum.Enum):
         return self.value
 
 
-#: Numeric encoding for the ``pool.breaker.state.<id>`` gauge.
+#: Numeric encoding for the ``pool.breaker.state{member=<id>}`` gauge.
 BREAKER_STATE_GAUGE = {
     BreakerState.CLOSED: 0,
     BreakerState.HALF_OPEN: 1,
@@ -172,10 +172,10 @@ class CircuitBreaker:
     """One member's breaker; the pool drives it from placement results.
 
     :attr:`transitions` keeps the full ``(tick, old, new)`` history:
-    the pool emits ``pool.breaker.*`` counters and state gauges for
-    the entries each of its breaker calls appends, and span replay
-    reconciles against it.  The breaker holds no callback, so it keeps
-    nothing of its pool alive.
+    the pool writes the ``pool.breaker.*`` counters and state gauge
+    into its registry for the entries each of its breaker calls
+    appends.  The breaker holds no callback, so it keeps nothing of
+    its pool alive.
     """
 
     def __init__(self, policy: BreakerPolicy) -> None:
@@ -293,21 +293,21 @@ class DegradationPolicy:
 class DegradationController:
     """Tracks attempt outcomes and drives the current tier.
 
-    Emits ``service.degradation.sheds`` / ``.recoveries`` counters and
-    the ``service.degradation.tier`` gauge on the service tracer;
-    :attr:`transitions` keeps ``(sample_index, old_tier, new_tier)``
-    for span-replay reconciliation.
+    Writes the ``service.degradation.sheds`` / ``.recoveries`` counters
+    and the ``service.degradation.tier`` gauge into ``registry`` (the
+    service's telemetry registry, or a private one);
+    :attr:`transitions` keeps ``(sample_index, old_tier, new_tier)``.
     """
 
     def __init__(
         self,
         policy: DegradationPolicy | None = None,
         *,
-        tracer: Tracer | None = None,
+        registry: MetricsRegistry | None = None,
         on_transition=None,
     ) -> None:
         self.policy = policy if policy is not None else DegradationPolicy()
-        self.tracer = tracer if tracer is not None else NOOP
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.tier = DegradationTier.NORMAL
         self.samples = 0
         self._outcomes: collections.deque = collections.deque(
@@ -345,11 +345,12 @@ class DegradationController:
         self.tier = new
         self._since_change = 0
         self.transitions.append((self.samples, int(old), int(new)))
-        if new > old:
-            self.tracer.count("service.degradation.sheds")
-        else:
-            self.tracer.count("service.degradation.recoveries")
-        self.tracer.gauge("service.degradation.tier", int(new))
+        self.registry.inc(
+            "service.degradation.sheds"
+            if new > old
+            else "service.degradation.recoveries"
+        )
+        self.registry.set_gauge("service.degradation.tier", float(new))
         if self.on_transition is not None:
             self.on_transition(int(old), int(new), self.samples)
 

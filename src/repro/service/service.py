@@ -19,7 +19,10 @@ attempt on a :class:`~repro.service.pool.CrossbarPool` member:
    :class:`~repro.obs.tracer.RecordingTracer` absorbed into it
    afterwards (the sweep engine's merge discipline), so a batch trace
    attributes every analog op and cell write to its job; otherwise the
-   attempt traces to ``NOOP``;
+   attempt traces to ``NOOP``.  The service's own numbers (admissions,
+   completions, energy, latency, requeues, pool transitions …) are
+   never traced: each is written once into the registry of the
+   service's :class:`~repro.service.telemetry.ServiceTelemetry`;
 4. failures are isolated, never fatal: the failing member is excluded
    and — on a health-probe rejection — drained and recovered; the job
    is *requeued* (exempt from the admission bound: an accepted job is
@@ -47,8 +50,8 @@ Concurrent completion order is timing-dependent, so byte-identical
 replay is not promised — but per-attempt results stay deterministic
 (seeds derive from ``(base_seed, job_id, attempt)`` exactly as in
 serial mode) and telemetry totals still reconcile exactly: the live
-registry, the record stream, and trace replay all accumulate in the
-one completion order the lock serializes (see DESIGN.md §15).
+registry and the record stream accumulate in the one completion order
+the lock serializes (see DESIGN.md §15).
 
 Multi-tenancy: every job bills to its spec's ``tenant``; the queue
 runs deficit-round-robin weighted fair election across tenants
@@ -621,14 +624,19 @@ class SolverService:
     ``batch`` hand the same three scheduler phases to a
     :class:`~repro.service.dispatch.ConcurrentDispatcher`.
 
+    ``telemetry`` is the one store of the service's numbers; a
+    default :class:`~repro.service.telemetry.ServiceTelemetry` on
+    ``clock`` is built when none is passed, so :attr:`telemetry` is
+    never ``None`` and the service keeps one clock.
+
     Thread safety: ``submit`` / ``try_submit`` are safe from any
     thread (front-door handlers call them directly); everything else
     is driven either by the single serial caller or by dispatcher
     workers that hold :attr:`lock` around the scheduler phases.  The
     pool shares this same lock, so pool transitions, queue decisions,
-    and tracer emission all serialize together; :attr:`work_ready` is
-    the one condition over it, so an admission from any thread wakes
-    an idle dispatcher worker at once.
+    registry writes and tracer emission all serialize together;
+    :attr:`work_ready` is the one condition over it, so an admission
+    from any thread wakes an idle dispatcher worker at once.
     """
 
     def __init__(
@@ -641,11 +649,16 @@ class SolverService:
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
         self.tracer = tracer if tracer is not None else NOOP
-        self.telemetry = telemetry
+        self.telemetry = (
+            telemetry
+            if telemetry is not None
+            else ServiceTelemetry(clock=clock)
+        )
         self.clock = clock
         #: The service-wide scheduler lock: admission, dispatch,
-        #: conclusion, pool transitions, and all service-tracer
-        #: emission happen under it.  Solves never hold it.
+        #: conclusion, pool transitions, registry writes and all
+        #: service-tracer emission happen under it.  Solves never
+        #: hold it.
         self.lock = threading.RLock()
         #: The one condition over :attr:`lock`, notified (lock held)
         #: whenever work may have become dispatchable: admission here;
@@ -662,9 +675,8 @@ class SolverService:
             ),
             tracer=self.tracer,
             breaker=self.config.breaker,
-            on_breaker_transition=(
-                telemetry.on_breaker if telemetry is not None else None
-            ),
+            registry=self.telemetry.registry,
+            on_breaker_transition=self.telemetry.on_breaker,
             lock=self.lock,
         )
         self.queue = JobQueue(
@@ -673,10 +685,8 @@ class SolverService:
         self.degradation = (
             DegradationController(
                 self.config.degradation,
-                tracer=self.tracer,
-                on_transition=(
-                    telemetry.on_tier if telemetry is not None else None
-                ),
+                registry=self.telemetry.registry,
+                on_transition=self.telemetry.on_tier,
             )
             if self.config.degradation is not None
             else None
@@ -692,7 +702,7 @@ class SolverService:
         self._problems: dict[str, LinearProgram] = {}
         self._optima: dict[str, SolverResult] = {}
         # Last observed cold programming cost per fingerprint — what a
-        # warm re-solve *saved* (the cells-saved telemetry counter).
+        # warm re-solve *saved* (the cells-saved registry counter).
         self._program_cost: dict[str, int] = {}
         self._resolve_counter = 0
         # Fingerprint of the most recently attempted job: the batching
@@ -849,13 +859,10 @@ class SolverService:
         self._catalog[spec.job_id] = spec
         if isinstance(spec, ResolveSpec):
             pending.problem = problem
-            self.tracer.count("service.resolve.submitted")
         self._stamp_fingerprint(pending)
         if pending.problem is not None:
             self._problems[spec.job_id] = pending.problem
-        self.tracer.count("service.jobs_submitted")
-        if self.telemetry is not None:
-            self.telemetry.on_submit(pending.spec)
+        self.telemetry.on_submit(spec)
         self.work_ready.notify_all()
 
     def _problem_for(self, job_id: str) -> LinearProgram:
@@ -995,10 +1002,8 @@ class SolverService:
         Member ids wrap modulo the pool size, so a scenario written
         for one fleet replays on any.
         """
-        self.tracer.count("service.chaos.events")
         campaign.fired += 1
-        if self.telemetry is not None:
-            self.telemetry.on_chaos(event)
+        self.telemetry.on_chaos(event)
         if event.kind == "queue_pulse":
             # Saturation pulse: filler jobs through *admission control*
             # (try_submit), so an already-full queue sheds them — the
@@ -1013,7 +1018,9 @@ class SolverService:
                     group=1_000_000 + event.at_job,
                 )
                 if self.try_submit(spec) is None:
-                    self.tracer.count("service.chaos.pulse_rejected")
+                    self.telemetry.registry.inc(
+                        "service.chaos.pulse_rejected"
+                    )
             return
         assert event.member is not None  # validated on construction
         member_id = event.member % len(self.pool.members)
@@ -1025,7 +1032,6 @@ class SolverService:
             # A full-array sticky fault: every reprogram re-breaks it,
             # so the member drains, fails recovery, and retires.
             self.pool.inject_fault(member_id, 1.0, sticky=True)
-            self.tracer.count("service.chaos.member_deaths")
         elif event.kind == "drift":
             self.pool.inject_drift(member_id, event.magnitude)
 
@@ -1122,7 +1128,6 @@ class SolverService:
             certificate = detect_infeasible(problem)
             if certificate is not None:
                 result = infeasible_result(problem, certificate)
-                self.tracer.count("service.presolve.infeasible")
                 return (
                     "record",
                     self._finalize_memberless(pending, index, tier, result),
@@ -1293,8 +1298,7 @@ class SolverService:
         if item.mode == "brownout":
             fallback = item.result
             assert fallback is not None
-            self.tracer.count("service.fallbacks")
-            self.tracer.count("service.degradation.browned_out")
+            self.telemetry.registry.inc("service.degradation.browned_out")
             if self.degradation is not None:
                 self.degradation.record(fallback.success)
             return self._finalize_memberless(
@@ -1355,28 +1359,20 @@ class SolverService:
             backoff_s = config.backoff.delay_s(
                 config.base_seed, spec.job_id, index + 1
             )
-            pending.backoff_total_s += backoff_s
-            self.tracer.count("service.backoff_seconds", backoff_s)
 
         if member is not None and not warm and item.program_cells > 0:
             # Remember what a cold structural program of this
             # fingerprint costs, so warm placements can report exactly
             # how many cell writes they avoided.
             self._program_cost[item.fingerprint] = item.program_cells
-        if isinstance(spec, ResolveSpec) and member is not None:
-            self.tracer.count("service.resolve.attempts")
-            self.tracer.count(
-                "service.resolve.program_cells", float(item.program_cells)
-            )
-            if warm:
-                self.tracer.count("service.resolve.warm_placements")
-                saved = self._program_cost.get(item.fingerprint, 0)
-                if saved > 0:
-                    self.tracer.count(
-                        "service.resolve.cells_saved", float(saved)
-                    )
-            else:
-                self.tracer.count("service.resolve.cold_placements")
+        if isinstance(spec, ResolveSpec) and warm:
+            # What this warm placement did not have to program: the
+            # last cold program of its fingerprint (no record holds it).
+            saved = self._program_cost.get(item.fingerprint, 0)
+            if saved > 0:
+                self.telemetry.registry.inc(
+                    "service.resolve.cells_saved", float(saved)
+                )
 
         pending.attempts.append(
             JobAttempt(
@@ -1423,7 +1419,7 @@ class SolverService:
                 self.pool.recover(member)
 
         if will_requeue:
-            self.tracer.count("service.requeues")
+            self.telemetry.registry.inc("service.requeues")
             self.queue.requeue(pending)
             return None
 
@@ -1433,7 +1429,6 @@ class SolverService:
             fallback = run_digital_fallback(
                 config.digital_fallback, item.problem
             )
-            self.tracer.count("service.fallbacks")
             return self._finalize_memberless(
                 pending, len(pending.attempts), tier, fallback, fallback=True
             )
@@ -1519,36 +1514,11 @@ class SolverService:
             # The stored optimum is the warm-start source for any
             # later re-solve that names this job as its base.
             self._optima[pending.spec.job_id] = result
-        if isinstance(pending.spec, ResolveSpec):
-            self.tracer.count(
-                "service.resolve.completed"
-                if record.success
-                else "service.resolve.failed"
-            )
-        if record.success:
-            self.tracer.count("service.jobs_completed")
-        else:
-            self.tracer.count("service.jobs_failed")
-            if result.failure_reason is FailureReason.DEADLINE_EXCEEDED:
-                self.tracer.count("service.deadline_exceeded")
-        # Live-telemetry emission: the deterministic record is fully
-        # built first, so nothing below can alter what the service did
-        # or will serialize.  ``service.energy_j`` replays exactly via
-        # count events; latency / queue wait stream as ``hist`` events
-        # for the offline quantile audit.
-        if energy_j > 0:
-            self.tracer.count("service.energy_j", energy_j)
-        if elapsed > 0:
-            self.tracer.observe("service.latency_s", elapsed)
-        if record.queue_wait_s > 0:
-            self.tracer.observe("service.queue_wait_s", record.queue_wait_s)
-        self.tracer.gauge("service.queue.depth", float(len(self.queue)))
-        if self.telemetry is not None:
-            self.telemetry.on_job(
-                record,
-                queue_depth=len(self.queue),
-                tier=int(self.tier),
-            )
+        # The deterministic record is fully built first, so the fold
+        # below can never alter what the service did or will serialize.
+        self.telemetry.on_job(
+            record, queue_depth=len(self.queue), tier=int(self.tier)
+        )
         return record
 
 

@@ -1,13 +1,13 @@
 """Live serving telemetry: the service's streaming dashboard state.
 
 :class:`ServiceTelemetry` bundles the three obs-layer primitives into
-one object the :class:`~repro.service.service.SolverService` drives
-through narrow hooks:
+one object every :class:`~repro.service.service.SolverService` owns
+and drives through narrow hooks:
 
-- a :class:`~repro.obs.metrics.MetricsRegistry` of streaming
-  histograms (latency, per-job energy, queue wait — global and
-  per-priority / per-group label sets) plus live gauges for queue
-  depth, brownout tier, and per-member breaker state;
+- a :class:`~repro.obs.metrics.MetricsRegistry`, the one store of the
+  serving plane's numbers: each ``service.*`` / ``pool.*`` series is
+  written into it once — by :meth:`on_job` when a finished record
+  determines it, else where its event happens (DESIGN.md §14);
 - an :class:`~repro.obs.slo.SLOTracker` folding every job outcome
   into availability and deadline error budgets with multi-window
   burn-rate gauges;
@@ -17,8 +17,8 @@ through narrow hooks:
 
 Everything here is wall-clock-side observability: nothing feeds back
 into scheduling, and the deterministic record stream is computed
-before any hook fires, so an attached telemetry object can never
-change what the service does — only what it reports.
+before any hook fires, so telemetry can never change what the service
+does — only what it reports.
 
 :meth:`ServiceTelemetry.stats_line` renders the one-line periodic
 status ``repro serve --stats-every N`` prints: throughput, windowed
@@ -36,12 +36,16 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SLOTracker
 from repro.service.resilience import DegradationTier
 
-#: Single-character badge per breaker state for the stats line:
-#: ``brk=CCO`` reads as "members 0,1 closed, member 2 open".
-_BREAKER_BADGE = {"closed": "C", "half_open": "H", "open": "O"}
+#: Stats-line badge per ``pool.breaker.state`` gauge value (closed,
+#: half-open, open): ``brk=CCO`` reads as "members 0,1 closed,
+#: member 2 open".
+_BREAKER_BADGE = "CHO"
 
 #: Failure-reason value that counts against the deadline SLO.
 _DEADLINE_REASON = "deadline_exceeded"
+
+#: Failure-reason value of a job the presolve screen proved infeasible.
+_PRESOLVE_REASON = "infeasible_presolve"
 
 
 class ServiceTelemetry:
@@ -84,13 +88,31 @@ class ServiceTelemetry:
             if recorder is not None
             else FlightRecorder(directory=flight_dir, clock=clock)
         )
-        self.jobs = 0
-        self.succeeded = 0
-        self.energy_j_total = 0.0
-        self.queue_depth = 0
-        self.tier = DegradationTier.NORMAL
-        self.breaker_states: dict[int, str] = {}
         self._started_s = clock()
+
+    # -- reads of the registry -----------------------------------------------
+
+    @property
+    def jobs(self) -> int:
+        """Jobs finished so far, either way."""
+        return self.succeeded + int(
+            self.registry.counter_value("service.jobs_failed")
+        )
+
+    @property
+    def succeeded(self) -> int:
+        """Jobs finished with a conclusive result."""
+        return int(self.registry.counter_value("service.jobs_completed"))
+
+    @property
+    def energy_j_total(self) -> float:
+        """Modeled energy of every finished job, in joules."""
+        return self.registry.counter_value("service.energy_j")
+
+    @property
+    def queue_depth(self) -> int:
+        """Queue depth when the last job finished."""
+        return int(self.registry.gauge_value("service.queue.depth"))
 
     # -- service hooks -------------------------------------------------------
 
@@ -105,14 +127,14 @@ class ServiceTelemetry:
             "service.jobs_submitted",
             labels={"tenant": spec.tenant},
         )
+        if getattr(spec, "base_job_id", None) is not None:
+            self.registry.inc("service.resolve.submitted")
 
     def on_lock_wait(self, waited_s: float) -> None:
         """One scheduler-lock acquisition by a dispatcher worker.
 
         Feeds the lock-contention counters (acquisitions and total
-        seconds spent waiting) — registry-only, never the tracer, so
-        traces stay byte-identical in serial replay and deterministic
-        in totals under concurrency.  Called with the lock held.
+        seconds spent waiting).  Called with the lock held.
         """
         self.registry.inc("service.lock.acquires")
         self.registry.inc("service.lock.wait_s", waited_s)
@@ -120,64 +142,75 @@ class ServiceTelemetry:
     def on_job(
         self, record, *, queue_depth: int = 0, tier: int = 0
     ) -> None:
-        """One job finished (either way); fold it into every surface."""
-        self.jobs += 1
-        self.queue_depth = queue_depth
+        """One job finished (either way); fold it into every surface.
+
+        Called once per final record, under the service lock.
+        """
+        registry = self.registry
+        spec = record.spec
         success = record.success
-        if success:
-            self.succeeded += 1
-        self.registry.inc("service.jobs_completed" if success else "service.jobs_failed")
-        self.registry.set_gauge("service.queue.depth", float(queue_depth))
+        reason = record.result.failure_reason.value
+        outcome = "service.jobs_completed" if success else "service.jobs_failed"
+        registry.inc(outcome)
+        registry.inc(outcome, labels={"tenant": spec.tenant})
+        registry.set_gauge("service.queue.depth", float(queue_depth))
+        if not success and reason == _DEADLINE_REASON:
+            registry.inc("service.deadline_exceeded")
+        if reason == _PRESOLVE_REASON:
+            registry.inc("service.presolve.infeasible")
+        if record.fallback:
+            registry.inc("service.fallbacks")
+        for attempt in record.attempts:
+            if attempt.backoff_s > 0:
+                registry.inc("service.backoff_seconds", attempt.backoff_s)
 
         labels: Mapping[str, str] = {
-            "priority": str(record.spec.priority),
-            "group": str(record.spec.group),
-            "tenant": record.spec.tenant,
+            "priority": str(spec.priority),
+            "group": str(spec.group),
+            "tenant": spec.tenant,
         }
-        self.registry.inc(
-            "service.jobs_completed" if success else "service.jobs_failed",
-            labels={"tenant": record.spec.tenant},
-        )
         latency_s = record.elapsed_seconds
         if latency_s > 0:
-            self.registry.observe("service.latency_s", latency_s)
-            self.registry.observe(
-                "service.latency_s", latency_s, labels=labels
-            )
-        queue_wait = getattr(record, "queue_wait_s", 0.0)
-        if queue_wait > 0:
-            self.registry.observe("service.queue_wait_s", queue_wait)
-        energy = getattr(record, "energy_j", 0.0)
+            registry.observe("service.latency_s", latency_s)
+            registry.observe("service.latency_s", latency_s, labels=labels)
+        if record.queue_wait_s > 0:
+            registry.observe("service.queue_wait_s", record.queue_wait_s)
+        energy = record.energy_j
         if energy > 0:
-            self.energy_j_total += energy
-            self.registry.inc("service.energy_j", energy)
-            self.registry.observe("service.job_energy_j", energy)
-            self.registry.observe(
-                "service.job_energy_j", energy, labels=labels
-            )
+            registry.inc("service.energy_j", energy)
+            registry.observe("service.job_energy_j", energy)
+            registry.observe("service.job_energy_j", energy, labels=labels)
 
-        if getattr(record.spec, "base_job_id", None) is not None:
-            # Re-solve tier: count the job and the placement cost its
-            # attempts actually paid (zero for a pure warm re-solve).
-            self.registry.inc("service.resolve.jobs")
-            program_cells = sum(
-                getattr(attempt, "program_cells", 0)
-                for attempt in record.attempts
+        if getattr(spec, "base_job_id", None) is not None:
+            # Re-solve tier: count the job, its placements and the
+            # programming they actually paid (zero for a pure warm
+            # re-solve).
+            registry.inc("service.resolve.jobs")
+            registry.inc(
+                "service.resolve.completed" if success else "service.resolve.failed"
             )
-            if program_cells > 0:
-                self.registry.inc(
-                    "service.resolve.program_cells", float(program_cells)
+            program_cells = 0
+            for attempt in record.attempts:
+                if attempt.member is None:
+                    continue
+                program_cells += attempt.program_cells
+                registry.inc("service.resolve.attempts")
+                registry.inc(
+                    "service.resolve.warm_placements"
+                    if attempt.warm
+                    else "service.resolve.cold_placements"
                 )
+            if program_cells > 0:
+                registry.inc("service.resolve.program_cells", float(program_cells))
 
-        reason = record.result.failure_reason.value
         deadline_missed = reason == _DEADLINE_REASON
         self.slo.record(success=success, deadline_missed=deadline_missed)
         for name, value in self.slo.gauges().items():
-            self.registry.set_gauge(name, value)
+            registry.set_gauge(name, value)
 
         self.recorder.record(
             "job",
-            job_id=record.spec.job_id,
+            job_id=spec.job_id,
             status=record.result.status.value,
             failure_reason=reason,
             member=record.member,
@@ -191,22 +224,15 @@ class ServiceTelemetry:
         if not success:
             self.recorder.trip(
                 "job_failed",
-                job_id=record.spec.job_id,
+                job_id=spec.job_id,
                 failure_reason=reason,
             )
 
     def on_breaker(
         self, member_id: int, old: str, new: str, tick: int
     ) -> None:
-        """One member's circuit breaker changed state."""
-        self.breaker_states[member_id] = new
-        self.registry.set_gauge(
-            "pool.breaker.state",
-            float(
-                {"closed": 0, "half_open": 1, "open": 2}.get(new, 0)
-            ),
-            labels={"member": str(member_id)},
-        )
+        """One member's circuit breaker changed state (the pool has
+        already counted it)."""
         self.recorder.record(
             "breaker", member=member_id, old=old, new=new, tick=tick
         )
@@ -216,9 +242,7 @@ class ServiceTelemetry:
             )
 
     def on_tier(self, old: int, new: int, samples: int) -> None:
-        """The brownout controller moved tiers."""
-        self.tier = DegradationTier(new)
-        self.registry.set_gauge("service.degradation.tier", float(new))
+        """The brownout controller moved tiers (and counted it)."""
         self.recorder.record(
             "tier", old=old, new=new, samples=samples
         )
@@ -232,6 +256,8 @@ class ServiceTelemetry:
     def on_chaos(self, event) -> None:
         """One chaos-campaign event fired into the live service."""
         self.registry.inc("service.chaos.events")
+        if event.kind == "member_death":
+            self.registry.inc("service.chaos.member_deaths")
         self.recorder.record(
             "chaos",
             fault=event.kind,
@@ -257,24 +283,28 @@ class ServiceTelemetry:
     def stats_line(self) -> str:
         """One-line live status for ``--stats-every`` printing."""
         elapsed = max(self.clock() - self._started_s, 1e-9)
-        rate = self.jobs / elapsed
+        jobs = self.jobs
+        rate = jobs / elapsed
         p50_ms, p99_ms = self._quantiles_ms()
-        energy_per_job = (
-            self.energy_j_total / self.jobs if self.jobs else 0.0
+        energy_per_job = self.energy_j_total / jobs if jobs else 0.0
+        tier = DegradationTier(
+            int(self.registry.gauge_value("service.degradation.tier"))
         )
-        badges = "".join(
-            _BREAKER_BADGE.get(self.breaker_states[m], "?")
-            for m in sorted(self.breaker_states)
-        )
+        states = {
+            int(dict(labels)["member"]): int(value)
+            for name, labels, value in self.registry.gauges()
+            if name == "pool.breaker.state"
+        }
+        badges = "".join(_BREAKER_BADGE[states[m]] for m in sorted(states))
         parts = [
-            f"jobs={self.jobs}",
+            f"jobs={jobs}",
             f"ok={self.succeeded}",
             f"{rate:.1f} jobs/s",
             f"p50={p50_ms:.1f}ms",
             f"p99={p99_ms:.1f}ms",
             f"energy/job={energy_per_job:.3g}J",
             f"q={self.queue_depth}",
-            f"tier={self.tier.name}",
+            f"tier={tier.name}",
         ]
         if badges:
             parts.append(f"brk={badges}")

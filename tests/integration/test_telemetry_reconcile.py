@@ -1,15 +1,14 @@
-"""Acceptance: live telemetry reconciles against offline span replay.
+"""Acceptance: live telemetry is a fold over the record stream.
 
-A 50-job chaos batch is run once with the full telemetry surface
-attached.  The contract locked in here:
+A 50-job chaos batch is run once, traced, with the full telemetry
+surface attached.  The contract locked in here:
 
-1. counters reconcile *exactly* — total energy attributed live equals
-   both the sum over serialized records and the counter rebuilt from
-   the trace by :func:`replay_counters`;
-2. latency histograms reconcile *exactly* — replaying the trace's
-   ``hist`` events bucket-wise reproduces the registry's cumulative
-   histogram (streaming aggregation is a pure fold over observations);
-3. histogram quantile estimates sit within the documented
+1. counters reconcile *exactly* — total energy in the registry equals
+   the sum over serialized records;
+2. the trace carries spans and engine events only: every service and
+   pool number lives in the registry, written once;
+3. the latency histogram is exactly the fold of the records'
+   latencies, and its quantile estimates sit within the documented
    ``BucketScheme.relative_error`` bound of the exact quantiles
    computed from the records;
 4. the chaos storm trips the flight recorder and the dump's trigger
@@ -18,9 +17,9 @@ attached.  The contract locked in here:
 
 import pytest
 
-from repro.analysis.spans import replay_counters, replay_histograms
+from repro.analysis.spans import replay_counters
 from repro.obs import RecordingTracer
-from repro.obs.metrics import DEFAULT_SCHEME, exact_quantile
+from repro.obs.metrics import DEFAULT_SCHEME, StreamingHistogram, exact_quantile
 from repro.obs.recorder import read_flight_jsonl
 from repro.service import (
     FaultCampaign,
@@ -80,30 +79,48 @@ class TestEnergyReconciles:
         )
         assert summary.energy_j == pytest.approx(record_sum, rel=1e-12)
 
-    def test_trace_replay_matches_live_counter(self, chaos_run):
-        _, telemetry, tracer, records, _ = chaos_run
-        replayed = replay_counters(tracer.event_dicts())
-        assert replayed["service.energy_j"] == pytest.approx(
-            sum(record.energy_j for record in records), rel=1e-12
-        )
-        assert replayed["service.jobs_completed"] == len(records)
-
     def test_every_job_counted(self, chaos_run):
         _, telemetry, _, records, _ = chaos_run
         assert len(records) > JOBS  # queue_pulse added filler jobs
         assert telemetry.jobs == len(records)
 
 
+class TestTraceHoldsNoServiceNumbers:
+    def test_service_and_pool_series_only_in_registry(self, chaos_run):
+        _, telemetry, tracer, records, _ = chaos_run
+        events = tracer.event_dicts()
+        traced = {
+            event["name"]
+            for event in events
+            if event["kind"] in ("count", "gauge", "hist")
+        }
+        assert not {
+            name for name in traced if name.startswith(("service.", "pool."))
+        }
+        # The trace keeps the attempts' spans and engine events.
+        assert sum(
+            1 for e in events if e["kind"] == "span" and e["name"] == "service.job"
+        ) >= len(records)
+        assert replay_counters(events)["crossbar.cells_written"] > 0
+        registry = telemetry.registry
+        assert registry.counter_value("service.jobs_submitted") == len(records)
+        assert registry.counter_value("pool.acquire_cold") > 0
+        assert registry.counter_value("service.chaos.events") == 4
+
+
 class TestLatencyReconciles:
     def test_replayed_histogram_equals_live_exactly(self, chaos_run):
-        _, telemetry, tracer, _, _ = chaos_run
-        replayed = replay_histograms(tracer.event_dicts())
+        # Replaying the record stream's latencies bucket-wise
+        # reproduces the registry's cumulative histogram: the live
+        # series is a pure fold over the records.
+        _, telemetry, _, records, _ = chaos_run
+        replayed = StreamingHistogram()
+        for record in records:
+            if record.elapsed_seconds > 0:
+                replayed.observe(record.elapsed_seconds)
         live = telemetry.registry.histogram("service.latency_s")
-        assert replayed["service.latency_s"] == live.cumulative
-        assert (
-            replayed["service.latency_s"]
-            == tracer.histograms["service.latency_s"]
-        )
+        assert replayed.count > 0
+        assert replayed == live.cumulative
 
     def test_quantiles_within_documented_error(self, chaos_run):
         _, telemetry, _, records, _ = chaos_run

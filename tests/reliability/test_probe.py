@@ -11,7 +11,6 @@ from repro.reliability import (
     ProbePolicy,
     probe_operator,
     probe_operators,
-    probe_operators_batched,
     probe_tolerance,
 )
 
@@ -130,77 +129,3 @@ class TestProbeOperators:
         with pytest.raises(ValueError):
             probe_operators([], ProbePolicy(), np.random.default_rng(0))
 
-
-class TestProbeOperatorsBatched:
-    def _fleet(self, count=4, n=8):
-        return [
-            (
-                f"op-{k}",
-                _operator(UniformVariation(0.05), seed=10 + k, n=n),
-            )
-            for k in range(count)
-        ]
-
-    def test_batched_reports_bitwise_match_serial(self):
-        # Same policy, same rng seed: the batched pipeline must draw
-        # probe vectors in member order and reproduce every serial
-        # report exactly, including the rng stream position.
-        policy = ProbePolicy(vectors=3)
-        fleet_a = self._fleet()
-        fleet_b = [
-            (label, _operator(UniformVariation(0.05), seed=10 + k))
-            for k, (label, _) in enumerate(fleet_a)
-        ]
-        rng_a = np.random.default_rng(77)
-        rng_b = np.random.default_rng(77)
-        batched = probe_operators_batched(fleet_a, policy, rng_a)
-        serial = [
-            probe_operator(op, policy, rng_b, label=label)
-            for label, op in fleet_b
-        ]
-        assert batched == serial
-        assert rng_a.integers(0, 2**63) == rng_b.integers(0, 2**63)
-
-    def test_mixed_shapes_fall_back_bitwise(self):
-        policy = ProbePolicy(vectors=2)
-        fleet = self._fleet(2) + [
-            ("odd", _operator(UniformVariation(0.05), seed=99, n=5))
-        ]
-        twin = self._fleet(2) + [
-            ("odd", _operator(UniformVariation(0.05), seed=99, n=5))
-        ]
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        batched = probe_operators_batched(fleet, policy, rng_a)
-        serial = [
-            probe_operator(op, policy, rng_b, label=label)
-            for label, op in twin
-        ]
-        assert batched == serial
-
-    def test_faulty_member_flagged_individually(self):
-        policy = ProbePolicy()
-        fleet = self._fleet(2)
-        fleet.append(
-            (
-                "bad",
-                _operator(
-                    StuckAtFaults(
-                        YAKOPCIC_NAECON14,
-                        stuck_off_rate=0.45,
-                        base=UniformVariation(0.05),
-                    ),
-                    seed=3,
-                ),
-            )
-        )
-        reports = probe_operators_batched(
-            fleet, policy, np.random.default_rng(0)
-        )
-        assert [r.healthy for r in reports[:2]] == [True, True]
-        assert not reports[2].healthy
-        assert reports[2].label == "bad"
-
-    def test_empty_fleet_rejected(self):
-        with pytest.raises(ValueError):
-            probe_operators_batched([], ProbePolicy(), np.random.default_rng(0))

@@ -205,20 +205,15 @@ class TestConcurrentDispatch:
 
     def test_telemetry_totals_reconcile_exactly(self):
         telemetry = ServiceTelemetry()
-        service, records, summary = run_service(
+        _, records, summary = run_service(
             workers=4, jobs=12, telemetry=telemetry
         )
         record_energy = sum(record.energy_j for record in records)
-        # Exact equality, not approx: live registry, record stream,
-        # and trace replay accumulate in the same completion order
-        # under the service lock.
-        assert telemetry.energy_j_total == record_energy
+        # Exact equality, not approx: the live registry and the record
+        # stream accumulate in the same completion order under the
+        # service lock.
         assert (
             telemetry.registry.counter_value("service.energy_j")
-            == record_energy
-        )
-        assert (
-            service.tracer.counters.get("service.energy_j", 0.0)
             == record_energy
         )
         assert telemetry.jobs == len(records) == 12

@@ -82,6 +82,25 @@ class TestSubmit:
         ]
         assert all("error" in ack for ack in acks[1:6])
 
+    def test_wrongly_typed_line_rejected_and_next_admitted(self, door):
+        body = (
+            b'{"job_id": "bad", "constraints": 8, "priority": "high"}\n'
+            b'{"job_id": 5, "constraints": 8}\n'
+            b'{"job_id": "bad-tenant", "constraints": 8, "tenant": 7}\n'
+            b'{"job_id": "good", "constraints": 8}\n'
+        )
+        status, acks = post_lines(door, "/submit", body)
+        assert status == 200
+        assert [ack["accepted"] for ack in acks] == [False, False, False, True]
+        assert "priority" in acks[0]["error"]
+        assert "job_id" in acks[1]["error"]
+        assert "tenant" in acks[2]["error"]
+        with urllib.request.urlopen(
+            url(door, "/stream?since=0&timeout=30")
+        ) as response:
+            (line,) = response.read().decode().splitlines()
+        assert json.loads(line)["job_id"] == "good"
+
     def test_unknown_path_is_404(self, door):
         request = urllib.request.Request(
             url(door, "/nope"), data=b"{}", method="POST"

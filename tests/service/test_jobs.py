@@ -5,6 +5,7 @@ import pytest
 
 from repro.service.jobs import (
     JobSpec,
+    ResolveSpec,
     attempt_seed,
     build_problem,
     job_seed,
@@ -34,6 +35,42 @@ class TestJobSpec:
     def test_from_dict_ignores_unknown_keys(self):
         spec = JobSpec.from_dict({"job_id": "j", "extra": "ignored"})
         assert spec.job_id == "j"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("job_id", 5),
+            ("tenant", 7),
+            ("constraints", "12"),
+            ("constraints", True),
+            ("group", 1.5),
+            ("priority", "high"),
+            ("max_attempts", 2.0),
+            ("variation", "5"),
+            ("deadline_s", False),
+        ],
+    )
+    def test_rejects_wrongly_typed_fields(self, field, value):
+        fields = {"job_id": "j", field: value}
+        with pytest.raises(TypeError, match=field):
+            JobSpec(**fields)
+        fields.setdefault("base_job_id", "base")
+        with pytest.raises(TypeError, match=field):
+            ResolveSpec(**fields)
+
+    def test_accepts_numpy_numbers_and_optional_nones(self):
+        spec = JobSpec(
+            job_id="j",
+            constraints=np.int64(12),
+            variation=np.float64(5.0),
+            deadline_s=None,
+            max_attempts=None,
+        )
+        assert spec.constraints == 12
+        with pytest.raises(TypeError, match="base_job_id"):
+            ResolveSpec(job_id="r", base_job_id=3)
+        with pytest.raises(TypeError, match="perturb"):
+            ResolveSpec(job_id="r", base_job_id="b", perturb="0.1")
 
 
 class TestSeeds:

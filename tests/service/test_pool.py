@@ -23,6 +23,12 @@ def make_pool(size=2, **kwargs):
     return CrossbarPool(size, **kwargs)
 
 
+def breaker_gauge(pool, member_id):
+    return pool.registry.gauge_value(
+        "pool.breaker.state", labels={"member": str(member_id)}
+    )
+
+
 class TestAcquire:
     def test_first_acquire_is_cold(self):
         pool = make_pool()
@@ -78,8 +84,7 @@ class TestAcquire:
         assert second is not first  # the EMPTY member, no eviction
 
     def test_eviction_replaces_lru_idle_member(self):
-        tracer = RecordingTracer()
-        pool = make_pool(size=1, tracer=tracer)
+        pool = make_pool(size=1)
         member, _ = pool.acquire(
             "fp1", programmer, rng=np.random.default_rng(1)
         )
@@ -90,7 +95,7 @@ class TestAcquire:
         assert not warm
         assert evicted is member
         assert evicted.fingerprint == "fp2"
-        assert tracer.counters["pool.evictions"] == 1
+        assert pool.registry.counter_value("pool.evictions") == 1
 
     def test_exclusion_and_exhaustion(self):
         pool = make_pool(size=1)
@@ -122,8 +127,7 @@ class TestAcquire:
 
 class TestDrainRecoverRetire:
     def test_drain_then_recover_returns_member_to_service(self):
-        tracer = RecordingTracer()
-        pool = make_pool(probe=ProbePolicy(), tracer=tracer)
+        pool = make_pool(probe=ProbePolicy())
         member, _ = pool.acquire(
             "fp", programmer, rng=np.random.default_rng(1)
         )
@@ -132,8 +136,8 @@ class TestDrainRecoverRetire:
         assert member.state is MemberState.DRAINING
         assert pool.recover(member)
         assert member.state is MemberState.IDLE
-        assert tracer.counters["pool.drains"] == 1
-        assert tracer.counters["pool.recoveries"] == 1
+        assert pool.registry.counter_value("pool.drains") == 1
+        assert pool.registry.counter_value("pool.recoveries") == 1
 
     def test_recover_requires_draining(self):
         pool = make_pool()
@@ -141,10 +145,7 @@ class TestDrainRecoverRetire:
             pool.recover(pool.members[0])
 
     def test_sticky_fault_forces_retirement(self):
-        tracer = RecordingTracer()
-        pool = make_pool(
-            probe=ProbePolicy(), max_drains=2, tracer=tracer
-        )
+        pool = make_pool(probe=ProbePolicy(), max_drains=2)
         member, _ = pool.acquire(
             "fp", programmer, rng=np.random.default_rng(1)
         )
@@ -156,7 +157,7 @@ class TestDrainRecoverRetire:
         assert not pool.recover(member)
         assert member.state is MemberState.RETIRED
         assert member.drains == 2
-        assert tracer.counters["pool.retirements"] == 1
+        assert pool.registry.counter_value("pool.retirements") == 1
         assert pool.active_members() == 1
 
     def test_soft_fault_heals_in_one_cycle(self):
@@ -250,7 +251,6 @@ class TestCircuitBreaker:
             "breaker",
             BreakerPolicy(failure_threshold=2, cooldown_ticks=3),
         )
-        kwargs.setdefault("tracer", RecordingTracer())
         return make_pool(size=1, **kwargs)
 
     def run_once(self, pool, success):
@@ -269,8 +269,8 @@ class TestCircuitBreaker:
         assert member.breaker.state is BreakerState.CLOSED
         self.run_once(pool, success=False)
         assert member.breaker.state is BreakerState.OPEN
-        assert pool.tracer.counters["pool.breaker.opened"] == 1
-        assert pool.tracer.gauges["pool.breaker.state.0"] == 2
+        assert pool.registry.counter_value("pool.breaker.opened") == 1
+        assert breaker_gauge(pool, 0) == 2
 
     def test_open_breaker_blocks_placement_until_cooldown(self):
         pool = self.make_breaker_pool()
@@ -280,14 +280,14 @@ class TestCircuitBreaker:
         # counted in acquire calls; the opening tick was #2).
         assert self.run_once(pool, success=True) is None
         assert self.run_once(pool, success=True) is None
-        assert pool.tracer.counters["pool.breaker.rejections"] == 2
+        assert pool.registry.counter_value("pool.breaker.rejections") == 2
         # Tick 5 - opened tick 2 >= 3: HALF_OPEN probe admitted.
         probe = self.run_once(pool, success=True)
         assert probe is member
         assert member.breaker.state is BreakerState.CLOSED
-        assert pool.tracer.counters["pool.breaker.half_open"] == 1
-        assert pool.tracer.counters["pool.breaker.closed"] == 1
-        assert pool.tracer.gauges["pool.breaker.state.0"] == 0
+        assert pool.registry.counter_value("pool.breaker.half_open") == 1
+        assert pool.registry.counter_value("pool.breaker.closed") == 1
+        assert breaker_gauge(pool, 0) == 0
 
     def test_failed_probe_reopens(self):
         pool = self.make_breaker_pool()
@@ -297,7 +297,7 @@ class TestCircuitBreaker:
         self.run_once(pool, success=True)  # rejected, tick 4
         assert self.run_once(pool, success=False) is member  # probe fails
         assert member.breaker.state is BreakerState.OPEN
-        assert pool.tracer.counters["pool.breaker.reopened"] == 1
+        assert pool.registry.counter_value("pool.breaker.reopened") == 1
 
     def test_success_resets_consecutive_failures(self):
         pool = self.make_breaker_pool()
@@ -319,15 +319,14 @@ class TestCircuitBreaker:
             (BreakerState.OPEN, BreakerState.HALF_OPEN),
             (BreakerState.HALF_OPEN, BreakerState.CLOSED),
         ]
-        counters = pool.tracer.counters
         opens = sum(
             1 for _, _, new in member.breaker.transitions
             if new is BreakerState.OPEN
         )
-        assert counters["pool.breaker.opened"] == opens
+        assert pool.registry.counter_value("pool.breaker.opened") == opens
 
     def test_no_breaker_policy_never_gates(self):
-        pool = make_pool(size=1, tracer=RecordingTracer())
+        pool = make_pool(size=1)
         member, _ = pool.acquire(
             "fp", programmer, rng=np.random.default_rng(1)
         )
@@ -344,10 +343,7 @@ class TestLifecycleEdgeCases:
     def test_retired_member_ignored_by_lru_eviction_in_full_pool(self):
         # A RETIRED member is never the LRU-eviction victim even when
         # every other member is IDLE with a mismatched fingerprint.
-        tracer = RecordingTracer()
-        pool = make_pool(
-            size=3, probe=ProbePolicy(), max_drains=0, tracer=tracer
-        )
+        pool = make_pool(size=3, probe=ProbePolicy(), max_drains=0)
         doomed, _ = pool.acquire(
             "fp0", programmer, rng=np.random.default_rng(1)
         )
@@ -371,7 +367,7 @@ class TestLifecycleEdgeCases:
         assert not warm
         assert placed is not doomed
         assert doomed.state is MemberState.RETIRED
-        assert tracer.counters["pool.evictions"] == 1
+        assert pool.registry.counter_value("pool.evictions") == 1
 
     def test_retirement_racing_cache_hit_never_hands_out_stale_member(self):
         # The retiree still *records* fingerprint "fp" when its drain
@@ -416,57 +412,3 @@ class TestLifecycleEdgeCases:
         )
         assert warm and again.operator is rebuilt
 
-
-class TestAudit:
-    def _programmed_pool(self, size=3, **kwargs):
-        kwargs.setdefault("probe", ProbePolicy())
-        tracer = RecordingTracer()
-        pool = make_pool(size=size, tracer=tracer, **kwargs)
-        members = []
-        for k in range(size):
-            member, _ = pool.acquire(
-                f"fp-{k}", programmer, rng=np.random.default_rng(10 + k)
-            )
-            members.append(member)
-        for member in members:
-            pool.release(member)
-        return pool, tracer
-
-    def test_audit_reports_match_serial_probes(self):
-        from repro.reliability.probe import probe_operator
-
-        pool, tracer = self._programmed_pool()
-        twin, _ = self._programmed_pool()
-        serial_rng = np.random.default_rng(0)  # same seed as make_pool
-        reports = pool.audit()
-        expected = {
-            member.member_id: probe_operator(
-                member.operator,
-                twin.probe,
-                serial_rng,
-                label=f"pool-{member.member_id}",
-            )
-            for member in twin.members
-        }
-        assert reports == expected
-        assert tracer.counters["pool.audits"] == 1
-
-    def test_audit_flags_and_drains_faulty_member(self):
-        pool, tracer = self._programmed_pool()
-        pool.inject_fault(1, 1.0)
-        reports = pool.audit(drain_unhealthy=True)
-        assert not reports[1].healthy
-        assert pool.members[1].state is MemberState.DRAINING
-        assert pool.members[0].state is MemberState.IDLE
-        assert reports[0].healthy and reports[2].healthy
-        assert tracer.counters["pool.audit_failures"] == 1
-        assert tracer.counters["pool.drains"] == 1
-
-    def test_audit_without_policy_rejected(self):
-        pool = make_pool(size=1)
-        with pytest.raises(ServiceError, match="probe policy"):
-            pool.audit()
-
-    def test_audit_of_unprogrammed_pool_is_empty(self):
-        pool = make_pool(size=2, probe=ProbePolicy())
-        assert pool.audit() == {}

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.core.result import FailureReason
-from repro.obs.tracer import RecordingTracer
 from repro.service.jobs import JobSpec, synthesize_jobs
 from repro.service.resilience import (
     BackoffPolicy,
@@ -153,18 +152,17 @@ class TestDegradationController:
         assert controller.tier is DegradationTier.NORMAL
 
     def test_sheds_immediately_possibly_multiple_tiers(self):
-        tracer = RecordingTracer()
-        controller = DegradationController(self.policy(), tracer=tracer)
+        controller = DegradationController(self.policy())
         for _ in range(4):
             controller.record(False)
         # Window failure rate 1.0 >= 0.75: straight to DIGITAL_ONLY.
         assert controller.tier is DegradationTier.DIGITAL_ONLY
-        assert tracer.counters["service.degradation.sheds"] == 1
-        assert tracer.gauges["service.degradation.tier"] == 3
+        registry = controller.registry
+        assert registry.counter_value("service.degradation.sheds") == 1
+        assert registry.gauge_value("service.degradation.tier") == 3
 
     def test_recovers_one_tier_at_a_time_with_hysteresis(self):
-        tracer = RecordingTracer()
-        controller = DegradationController(self.policy(), tracer=tracer)
+        controller = DegradationController(self.policy())
         for _ in range(4):
             controller.record(False)
         assert controller.tier is DegradationTier.DIGITAL_ONLY
@@ -178,7 +176,12 @@ class TestDegradationController:
             if new < old
         ]
         assert all(old - new == 1 for old, new in downward)
-        assert tracer.counters["service.degradation.recoveries"] == 3
+        assert (
+            controller.registry.counter_value(
+                "service.degradation.recoveries"
+            )
+            == 3
+        )
 
     def test_hysteresis_blocks_recovery_at_the_boundary(self):
         # Rate hovering just below the entry threshold must NOT close
@@ -280,8 +283,7 @@ class TestServiceDeadlines:
         config = service_config(
             pool_size=1, digital_fallback="reference", max_attempts=5
         )
-        tracer = RecordingTracer()
-        service = SolverService(config, tracer=tracer, clock=clock.now)
+        service = SolverService(config, clock=clock.now)
         # A sticky full fault: every analog attempt is probe-rejected.
         service.pool.inject_fault(0, 1.0, sticky=True)
         service.submit(
@@ -299,7 +301,12 @@ class TestServiceDeadlines:
         last = record.attempts[-1]
         assert last.failure_reason == "deadline_exceeded"
         assert last.member is None
-        assert tracer.counters["service.deadline_exceeded"] == 1
+        assert (
+            service.telemetry.registry.counter_value(
+                "service.deadline_exceeded"
+            )
+            == 1
+        )
 
     def test_config_default_deadline_applies(self):
         clock = FakeClock()
@@ -347,17 +354,16 @@ class TestServiceRetryBudgets:
 
     def test_backoff_charged_on_requeued_attempts(self):
         config = service_config(pool_size=1, max_attempts=3)
-        tracer = RecordingTracer()
-        service = SolverService(config, tracer=tracer)
+        service = SolverService(config)
         service.pool.inject_fault(0, 1.0, sticky=True)
         service.submit(JobSpec(job_id="j", constraints=9))
         record = service.drain()[0]
         requeued = [a for a in record.attempts if a.backoff_s > 0]
         assert requeued  # failed attempts that were retried carry delay
         total = sum(a.backoff_s for a in record.attempts)
-        assert tracer.counters["service.backoff_seconds"] == pytest.approx(
-            total
-        )
+        assert service.telemetry.registry.counter_value(
+            "service.backoff_seconds"
+        ) == pytest.approx(total)
 
 
 class TestServiceBrownout:
@@ -380,18 +386,17 @@ class TestServiceBrownout:
             ),
             breaker=None,  # isolate the degradation path
         )
-        tracer = RecordingTracer()
-        service = SolverService(config, tracer=tracer)
+        service = SolverService(config)
         # Unprobed sticky corruption: every analog attempt fails slow.
         service.pool.inject_fault(0, 1.0, sticky=True)
-        return service, tracer
+        return service, service.telemetry.registry
 
     def test_sheds_to_digital_only_and_routes_around_analog(self):
-        service, tracer = self.degraded_service()
+        service, registry = self.degraded_service()
         for spec in small_jobs(8, groups=1):
             service.submit(spec)
         records = service.drain()
-        assert tracer.counters["service.degradation.sheds"] >= 1
+        assert registry.counter_value("service.degradation.sheds") >= 1
         browned = [
             r
             for r in records
@@ -405,12 +410,12 @@ class TestServiceBrownout:
             for a in r.attempts
         )
         assert (
-            tracer.counters["service.degradation.browned_out"]
+            registry.counter_value("service.degradation.browned_out")
             == len(browned)
         )
 
     def test_transitions_reconcile_with_counters(self):
-        service, tracer = self.degraded_service()
+        service, registry = self.degraded_service()
         for spec in small_jobs(10, groups=1):
             service.submit(spec)
         service.drain()
@@ -421,9 +426,9 @@ class TestServiceBrownout:
         recoveries = sum(
             1 for _, old, new in controller.transitions if new < old
         )
-        assert tracer.counters.get("service.degradation.sheds", 0) == sheds
+        assert registry.counter_value("service.degradation.sheds") == sheds
         assert (
-            tracer.counters.get("service.degradation.recoveries", 0)
+            registry.counter_value("service.degradation.recoveries")
             == recoveries
         )
 
@@ -462,16 +467,13 @@ class TestChaosAcceptance:
         return FaultCampaign(events, name="acceptance", seed=7)
 
     def run_acceptance(self):
-        tracer = RecordingTracer()
-        service = SolverService(
-            self.chaos_config(self.storm_campaign()), tracer=tracer
-        )
+        service = SolverService(self.chaos_config(self.storm_campaign()))
         specs = synthesize_jobs(50, groups=5, constraints=9)
         records, summary = service.batch(specs)
-        return service, tracer, specs, records, summary
+        return service, specs, records, summary
 
     def test_zero_lost_jobs_under_storm(self):
-        service, tracer, specs, records, summary = self.run_acceptance()
+        service, specs, records, summary = self.run_acceptance()
         submitted = {spec.job_id for spec in specs}
         finished = [r.spec.job_id for r in records]
         # Every accepted job produced exactly one record; pulse filler
@@ -481,10 +483,13 @@ class TestChaosAcceptance:
         extras = set(finished) - submitted
         assert all(job_id.startswith("pulse-") for job_id in extras)
         assert summary.jobs == len(records)
-        assert tracer.counters["service.chaos.events"] == 4
+        assert (
+            service.telemetry.registry.counter_value("service.chaos.events")
+            == 4
+        )
 
     def test_every_failed_attempt_has_machine_readable_reason(self):
-        _, _, _, records, _ = self.run_acceptance()
+        _, _, records, _ = self.run_acceptance()
         valid = {reason.value for reason in FailureReason}
         for record in records:
             for attempt in record.attempts:

@@ -61,12 +61,12 @@ class TestWarmResolve:
         for record in resolves:
             assert record.warm is True
             assert all(a.program_cells == 0 for a in record.attempts)
-        counters = service.tracer.counters
-        assert counters["service.resolve.submitted"] == 6
-        assert counters["service.resolve.completed"] == 6
-        assert counters["service.resolve.warm_placements"] == 6
-        assert counters.get("service.resolve.program_cells", 0.0) == 0.0
-        assert counters["service.resolve.cells_saved"] > 0
+        registry = service.telemetry.registry
+        assert registry.counter_value("service.resolve.submitted") == 6
+        assert registry.counter_value("service.resolve.completed") == 6
+        assert registry.counter_value("service.resolve.warm_placements") == 6
+        assert registry.counter_value("service.resolve.program_cells") == 0.0
+        assert registry.counter_value("service.resolve.cells_saved") > 0
 
     def test_base_job_pays_the_only_program(self):
         service = make_service()
@@ -156,7 +156,8 @@ class TestResolveApi:
     def test_wrong_shape_parameters_rejected_before_queueing(self):
         service = make_service()
         service.submit(JobSpec(job_id="plant", constraints=12))
-        submitted = service.tracer.counters["service.jobs_submitted"]
+        registry = service.telemetry.registry
+        submitted = registry.counter_value("service.jobs_submitted")
         with pytest.raises(ValueError, match="shape"):
             service.resolve("plant", new_b=[1.0, 2.0], job_id="bad-b")
         with pytest.raises(ValueError, match="shape"):
@@ -167,7 +168,7 @@ class TestResolveApi:
         assert len(service.queue) == 1
         assert "bad-b" not in service._catalog
         assert "bad-c" not in service._catalog
-        assert service.tracer.counters["service.jobs_submitted"] == submitted
+        assert registry.counter_value("service.jobs_submitted") == submitted
         assert [r.spec.job_id for r in service.drain()] == ["plant"]
 
     def test_chained_resolve_of_a_resolve(self):
@@ -209,7 +210,12 @@ class TestPresolveScreen:
         )
         assert record.attempts[0].cells_written == 0
         assert record.attempts[0].program_cells == 0
-        assert tracer.counters["service.presolve.infeasible"] == 1
+        assert (
+            service.telemetry.registry.counter_value(
+                "service.presolve.infeasible"
+            )
+            == 1
+        )
         assert tracer.counters.get("crossbar.cells_written", 0.0) == 0.0
 
     def test_presolve_knob_restores_old_path(self):

@@ -15,6 +15,7 @@ from repro.obs.tracer import RecordingTracer
 from repro.service import (
     JobSpec,
     ServiceConfig,
+    ServiceTelemetry,
     SolverService,
     synthesize_jobs,
 )
@@ -143,9 +144,10 @@ class TestFailureIsolation:
             assert first.member == 0
             # Rescheduled off the failed member, not back onto it.
             assert record.attempts[-1].member != 0
-        assert tracer.counters["pool.drains"] >= 1
-        assert tracer.counters["pool.recoveries"] >= 1
-        assert tracer.counters["service.requeues"] >= 1
+        registry = service.telemetry.registry
+        assert registry.counter_value("pool.drains") >= 1
+        assert registry.counter_value("pool.recoveries") >= 1
+        assert registry.counter_value("service.requeues") >= 1
         # The drained member recovered and rejoined the fleet.
         assert service.pool.states()[0] is MemberState.IDLE
 
@@ -229,10 +231,35 @@ class TestTracing:
     def test_counters_absorbed_into_service_tracer(self):
         specs = synthesize_jobs(3, groups=1, constraints=10)
         tracer = RecordingTracer()
-        run_batch(specs, tracer=tracer)
+        service, _, _ = run_batch(specs, tracer=tracer)
         assert tracer.counters["crossbar.cells_written"] > 0
         assert tracer.counters["analog.solves"] > 0
-        assert tracer.counters["service.jobs_completed"] == 3
+        # The service's own numbers live in its registry, not the trace.
+        assert "service.jobs_completed" not in tracer.counters
+        assert (
+            service.telemetry.registry.counter_value("service.jobs_completed")
+            == 3
+        )
+
+    def test_service_always_owns_telemetry(self):
+        # With no telemetry passed, the service builds its own: its
+        # registry is where every service and pool number is written.
+        specs = synthesize_jobs(3, groups=1, constraints=10)
+        service, records, _ = run_batch(specs)
+        telemetry = service.telemetry
+        assert isinstance(telemetry, ServiceTelemetry)
+        assert telemetry.jobs == telemetry.succeeded == len(records) == 3
+        assert telemetry.energy_j_total == sum(r.energy_j for r in records)
+        registry = telemetry.registry
+        assert registry.counter_value("service.jobs_submitted") == 3
+        assert registry.counter_value("pool.acquire_cold") == 1
+        assert registry.counter_value("pool.acquire_warm") == 2
+
+    def test_default_telemetry_shares_the_service_clock(self):
+        # Records and the registry's windows read one clock.
+        service = SolverService(ServiceConfig(), clock=lambda: 100.0)
+        assert service.telemetry.clock is service.clock
+        assert service.telemetry.registry.clock is service.clock
 
     def test_summary_render_mentions_key_figures(self):
         specs = synthesize_jobs(3, groups=1, constraints=10)

@@ -14,7 +14,7 @@ from repro.service import (
     SolverService,
     synthesize_jobs,
 )
-from repro.service.resilience import DegradationPolicy
+from repro.service.resilience import BreakerPolicy, DegradationPolicy
 
 
 def run_batch(telemetry, *, jobs=8, campaign=None, **overrides):
@@ -106,17 +106,11 @@ class TestResolveCounters:
             telemetry.registry.counter_value("service.resolve.jobs")
             == 5.0
         )
-        # Telemetry's per-record program-cell fold must agree with the
-        # tracer's counter: both zero on an all-warm stream.
+        # The per-record program-cell fold is zero on an all-warm
+        # stream.
         assert (
             telemetry.registry.counter_value(
                 "service.resolve.program_cells"
-            )
-            == 0.0
-        )
-        assert (
-            service.tracer.counters.get(
-                "service.resolve.program_cells", 0.0
             )
             == 0.0
         )
@@ -184,11 +178,26 @@ class TestTrips:
 
     def test_breaker_open_trips_recorder(self):
         telemetry = ServiceTelemetry()
-        telemetry.on_breaker(1, "closed", "open", tick=12)
-        assert telemetry.breaker_states[1] == "open"
+        service = SolverService(
+            ServiceConfig(
+                pool_size=2,
+                base_seed=7,
+                breaker=BreakerPolicy(failure_threshold=1),
+            ),
+            telemetry=telemetry,
+        )
+        member = service.pool.members[1]
+        service.pool.note_result(member, False)
         assert telemetry.recorder.trips == 1
         assert telemetry.recorder.events[-1]["reason"] == "breaker_open"
         assert "brk=O" in telemetry.stats_line()
+        # The pool wrote the transition once, into the same registry.
+        registry = telemetry.registry
+        assert registry.counter_value("pool.breaker.opened") == 1
+        assert (
+            registry.gauge_value("pool.breaker.state", labels={"member": "1"})
+            == 2
+        )
 
 
 class TestDeterminismContract:

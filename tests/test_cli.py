@@ -337,6 +337,25 @@ class TestServeCommand:
         assert len(jobs) == 6
         assert all("fingerprint" in j["attrs"] for j in jobs)
 
+    def test_serve_metrics_declare_each_family_once(self, capsys, tmp_path):
+        # The Prometheus text format allows one TYPE line per family:
+        # every service and pool number is written once, into the
+        # telemetry registry, never a second time into the trace.
+        metrics = tmp_path / "m.prom"
+        assert main(self.ARGS + ["--metrics-out", str(metrics)]) == 0
+        body = metrics.read_text()
+        families = [
+            line.split()[2]
+            for line in body.splitlines()
+            if line.startswith("# TYPE ")
+        ]
+        assert len(families) == len(set(families)), sorted(
+            name for name in families if families.count(name) > 1
+        )
+        assert "repro_service_jobs_completed_total" in families
+        assert "repro_service_latency_s" in families
+        assert "repro_crossbar_cells_written_total" in families
+
     def test_serve_survives_injected_fault(self, capsys):
         code = main(self.ARGS + ["--inject-fault", "0"])
         assert code == 0
