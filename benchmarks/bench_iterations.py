@@ -10,6 +10,7 @@ counts.
 import numpy as np
 import pytest
 
+from repro.backend.numpy_backend import NumpyBackend
 from repro.core import (
     SolveStatus,
     solve_crossbar,
@@ -71,23 +72,40 @@ def test_hotpath_cells_per_iteration_scale_linearly(benchmark, perf_record):
     the O(N²) structural blocks.  Remap/rescale events may exceed the
     per-iteration bound occasionally, which is why the gate is on the
     *median* (steady state), with a small multiple for headroom.
+
+    The same solve gates Solver 2's structure-aware engine without
+    timing: the diagonal M2 array is solved by division, so the backend
+    runs exactly one LAPACK solve per iteration (the M1 solve).
     """
     m = 48
     problem = random_feasible_lp(m, rng=np.random.default_rng(5))
     n = problem.A.shape[1]
+    lapack_solves = []
+    solve_t = NumpyBackend.solve_t
+
+    def counted_solve_t(self, stack, rhs):
+        lapack_solves.append(len(stack))
+        return solve_t(self, stack, rhs)
 
     def run():
         r1 = solve_crossbar(
             problem, rng=np.random.default_rng(7), trace=True
         )
-        r2 = solve_crossbar_large_scale(
-            problem, rng=np.random.default_rng(7), trace=True
-        )
+        NumpyBackend.solve_t = counted_solve_t
+        try:
+            r2 = solve_crossbar_large_scale(
+                problem, rng=np.random.default_rng(7), trace=True
+            )
+        finally:
+            NumpyBackend.solve_t = solve_t
         return r1, r2
 
     r1, r2 = benchmark.pedantic(run, rounds=1, iterations=1)
     assert r1.status is SolveStatus.OPTIMAL
     assert r2.status is SolveStatus.OPTIMAL
+    assert len(r2.attempts) == 1
+    # One LAPACK member-solve per iteration: M1's, never M2's.
+    assert sum(lapack_solves) == r2.iterations
 
     # Solver 1: trace counters cover the one augmented array.
     s1_cells = _steady_state_cells(r1.trace)
@@ -109,6 +127,7 @@ def test_hotpath_cells_per_iteration_scale_linearly(benchmark, perf_record):
         s2_cells_written=r2.crossbar.cells_written,
         s2_cells_per_iteration_median=s2_cells,
         s2_cells_bound=n + m,
+        s2_lapack_solves_per_iteration=sum(lapack_solves) / r2.iterations,
     )
 
 

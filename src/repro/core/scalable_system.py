@@ -99,9 +99,8 @@ class ScalableNewtonSystem:
         self.m, self.n = A.shape
         self._a_plus = np.maximum(A, 0.0)
         self._a_minus = np.maximum(-A, 0.0)
-        self.neg_cols_a = tuple(
-            int(j) for j in np.flatnonzero(np.any(A < 0, axis=0))
-        )
+        self._neg_cols = np.flatnonzero(np.any(A < 0, axis=0))
+        self.neg_cols_a = tuple(int(j) for j in self._neg_cols)
         self.k_x = len(self.neg_cols_a)
         # Per-iteration update index vectors, fixed by the problem
         # shape — built once so the hot loop only fills values.
@@ -207,8 +206,7 @@ class ScalableNewtonSystem:
 
     def state_vector_m1(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Pack ``[x, y, p, q] = [x, y, -x_sel, -y]`` for the r1 multiply."""
-        p = -x[list(self.neg_cols_a)] if self.k_x else np.empty(0)
-        return np.concatenate([x, y, p, -y])
+        return np.concatenate([x, y, -x[self._neg_cols], -y])
 
     def residual_m1(
         self,
@@ -306,11 +304,7 @@ class ScalableNewtonSystem:
         values: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) for reprogramming a diagonal array."""
-        if values.shape[0] == self._diag_idx.shape[0]:
-            idx = self._diag_idx
-        else:  # pragma: no cover - diagonals are always n + m today
-            idx = np.arange(values.shape[0])
-        return idx, idx, values
+        return self._diag_idx, self._diag_idx, values
 
     def residual_m2(
         self,

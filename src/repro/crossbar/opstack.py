@@ -30,20 +30,29 @@ Two mapping policies are supported:
   its conductances together with the voltage forced on its sense node
   leaves the solution unchanged; in multiply mode the per-column
   output decodes with its own scale.  Row scales follow the row maxima
-  with hysteresis, so a rescale (a full-row rewrite) only happens when
-  a row's magnitude drifts far from its window; routine updates remain
-  O(cells changed).
+  with hysteresis, so a rescale (a rewrite of the row's live cells)
+  only happens when a row's magnitude drifts far from its window;
+  routine updates remain O(cells changed).
 
 Coefficient updates (the O(N) per-iteration rewrites of the X, Y, Z, W
 blocks) run per member on 2-D views (:meth:`update_member`); a
 multi-member global update keeps one vectorized pass
-(:meth:`update_coefficients`).
+(:meth:`update_coefficients`).  A rescaled, remapped or renormalized
+row maps and diffs only its *live* cells — those whose coefficient or
+programmed target may be off the off state, kept as a per-member mask
+— and a member whose live cells all sit on the diagonal (Solver 2's
+M2 and D arrays) reads each row's one diagonal cell without the mask.
+A cell left out would map to the off state it already holds, so the
+moved cells, their ``n_in``-major order and the write events are the
+ones a full-width pass finds.
 
 Parity contract (gated by ``tests/property``): with the numpy backend,
 member ``k``'s ``multiply``/``try_solve``/``update_coefficients``/
 ``renormalize`` results — and its write counters and RNG stream — are
 bitwise what a one-member stack with the same settings and generator
-produces.  ``"vector"`` quantization needs per-member converter
+produces, and the live-cell and diagonal paths write bitwise what a
+full-width pass would (``test_write_kernel.py`` keeps one as the
+reference).  ``"vector"`` quantization needs per-member converter
 references, so those vectors quantize in a short member loop around
 the same batched analog core.
 """
@@ -56,7 +65,7 @@ from repro.backend import Backend
 from repro.crossbar.mapping import map_cells
 from repro.crossbar.programming import WriteReport
 from repro.crossbar.quantization import quantize_auto
-from repro.crossbar.stack import CrossbarStack
+from repro.crossbar.stack import CrossbarStack, diagonal_grids
 from repro.devices.models import HP_TIO2, DeviceParameters
 from repro.devices.variation import NoVariation, VariationModel
 from repro.exceptions import CrossbarSolveError, MappingError
@@ -68,6 +77,17 @@ from repro.reliability.verify import WriteVerifyPolicy
 #: (precision loss).  Between those bounds the old scale is kept, so
 #: per-iteration updates rarely trigger full-row rewrites.
 ROW_SCALE_HYSTERESIS = 8.0
+
+
+def _check_indices(rows: np.ndarray, cols: np.ndarray) -> None:
+    """Reject negative coefficient indices, which would wrap around.
+
+    Too-large ones fail the coefficient assignment itself.  The cell
+    writes of a per-member update are built from these indices and
+    skip the crossbar entry's re-validation.
+    """
+    if rows.min() < 0 or cols.min() < 0:
+        raise IndexError("coefficient index out of range")
 
 
 def _quantize_rows(
@@ -211,14 +231,28 @@ class AnalogOperatorStack:
         self._solve_gain = (
             np.empty((self.n_members, self.n_out)) if self.row_scaling else None
         )
-        self._floored = np.zeros(
+        # A zero coefficient maps below g_off: every cell no write has
+        # mapped yet is floored.
+        self._floored = np.ones(
             (self.n_members, self.n_in, self.n_out), dtype=bool
         )
         self._full_reprograms = np.ones(self.n_members, dtype=int)
+        # Live cells: those whose coefficient or programmed target may
+        # be off the off state -- the nonzero coefficients, plus every
+        # cell an update names.  Any other cell has held a zero, the off
+        # state and a set floored flag all along.  (A blank array holds
+        # 0, not leak mode's g_off: there the first program maps all.)
+        live = matrices != 0
+        self._live = live if off_state == "zero" else np.ones_like(live)
+        # Members whose live cells all sit on the diagonal.
+        self._diagonal = np.zeros(self.n_members, dtype=bool)
         for member in range(self.n_members):
             self._scales[member] = self._fresh_scales(member)
             self._scales_moved(member)
             self._program_rows(member, self._rows)
+        self._live = live
+        if self.n_out == self.n_in:
+            self._diagonal[:] = diagonal_grids(live)
 
     @property
     def tracer(self) -> Tracer:
@@ -231,9 +265,24 @@ class AnalogOperatorStack:
 
     # -- scale management -------------------------------------------------
 
+    def _row_cells(self, member: int, rows=None) -> np.ndarray:
+        """The coefficients of ``rows`` (default all) for a row maximum.
+
+        A diagonal member's row has one live cell, its diagonal, so the
+        block is ``(len(rows), 1)``; any other member's rows are read
+        across their full width.  The cells left out are zeros, which
+        never change a row's maximum.
+        """
+        coefficients = self._coefficients[member]
+        if self._diagonal[member]:
+            if rows is None:
+                return np.diagonal(coefficients)[:, None]
+            return coefficients[rows, rows][:, None]
+        return coefficients if rows is None else coefficients[rows, :]
+
     def _fresh_scales(self, member: int) -> np.ndarray:
         """Scales implied by a member's coefficients, no hysteresis."""
-        coefficients = self._coefficients[member]
+        coefficients = self._row_cells(member)
         g_on = self.params.g_on
         if self.row_scaling:
             row_max = coefficients.max(axis=1, initial=0.0)
@@ -260,31 +309,42 @@ class AnalogOperatorStack:
             self._solve_gain[member] = scales / self._solve_ref[member]
 
     def _program_rows(self, member: int, rows: np.ndarray) -> WriteReport:
-        """(Re)program all cells of a member's given coefficient rows.
+        """(Re)program the live cells of a member's given coefficient rows.
 
-        ``rows`` are sorted and unique.  The rows' targets form one
-        ``(len(rows), n_in)`` block; a single 2-D ``!=`` against the
-        programmed block plus ``nonzero`` finds the cells that move,
-        listed in the grid's ``n_in``-major order, and only those reach
-        the stack.  Unchanged cells (the structural zeros of a sparse
-        system, or rows rescaled back to the scale they already hold)
-        cost nothing, so a "full" reprogram is O(cells that move) in
-        writes and one block pass on the host.
+        ``rows`` are sorted and unique.  Only the rows' live cells are
+        mapped and diffed (a diagonal member's are its rows' diagonal
+        cells; any other's come from one pass over the live mask): a
+        cell outside them would map to the off state it already holds.
+        The cells are listed in the grid's ``n_in``-major order, and
+        only those that move reach the stack, with the programmed values
+        the diff read as the old side of their write plan.  Unchanged
+        cells (rows rescaled back to the scale they already hold) cost
+        nothing, so a "full" reprogram is O(cells that move) in writes
+        and O(live cells) in host work beyond the mask pass.
         """
-        block, floored = map_cells(
-            self._coefficients[member][rows, :],
-            self._scales[member][rows, None],
+        if self._diagonal[member]:
+            cells_in = cells_out = rows
+        else:
+            # Crossbar cell (i, j) carries A[j, i]: flatten the
+            # transposed mask so the cells come out n_in-major.
+            cells_in, cells_row = np.divmod(
+                np.flatnonzero(self._live[member][rows].T), rows.size
+            )
+            cells_out = rows[cells_row]
+        targets, floored = map_cells(
+            self._coefficients[member][cells_out, cells_in],
+            self._scales[member][cells_out],
             self.params,
             off_state=self.off_state,
         )
-        self._floored[member][:, rows] = floored.T
-        # Crossbar cell (i, j) carries A[j, i]: compare in coefficient
-        # orientation, where both blocks are contiguous, and walk the
-        # transposed mask so the cells come out n_in-major.
-        moved = block != self.stack._nominal[member].T[rows]
-        cells_in, cells_row = moved.T.nonzero()
-        return self.stack.program_member_cells(
-            member, cells_in, rows[cells_row], block[cells_row, cells_in]
+        self._floored[member][cells_in, cells_out] = floored
+        programmed = self.stack._nominal[member][cells_in, cells_out]
+        moved = targets != programmed
+        if not moved.all():
+            cells_in, cells_out = cells_in[moved], cells_out[moved]
+            targets, programmed = targets[moved], programmed[moved]
+        return self.stack._write_cells(
+            member, cells_in, cells_out, targets, old=programmed
         )
 
     def _program_cells(
@@ -300,7 +360,7 @@ class AnalogOperatorStack:
         )
         # Crossbar cell (i, j) carries coefficient A[j, i].
         self._floored[member][cols, rows] = floored
-        return self.stack.program_member_cells(
+        return self.stack._write_cells(
             member, cols, rows, targets, skip_unchanged=True
         )
 
@@ -368,6 +428,7 @@ class AnalogOperatorStack:
             raise ValueError("rows, cols, values must have matching shapes")
         if values.size == 0:
             return WriteReport(0, 0, 0.0, 0.0)
+        _check_indices(rows, cols)
         if values.min() < 0:
             raise MappingError("coefficients must be non-negative")
         return self._update(
@@ -386,6 +447,9 @@ class AnalogOperatorStack:
         coefficients = self._coefficients[member]
         scales = self._scales[member]
         coefficients[rows, cols] = values
+        self._live[member][rows, cols] = True
+        if self._diagonal[member] and (rows != cols).any():
+            self._diagonal[member] = False
         if self.row_scaling:
             if (rows[1:] > rows[:-1]).all():
                 affected = rows  # already sorted and unique
@@ -393,7 +457,9 @@ class AnalogOperatorStack:
                 touched = np.zeros(self.n_out, dtype=bool)
                 touched[rows] = True
                 affected = np.flatnonzero(touched)
-            row_max = coefficients[affected, :].max(axis=1, initial=0.0)
+            row_max = self._row_cells(member, affected).max(
+                axis=1, initial=0.0
+            )
             peak_target = row_max * scales[affected]
             rescale = (peak_target > g_on) | (
                 (row_max > 0)
@@ -406,8 +472,15 @@ class AnalogOperatorStack:
             if remap.size:
                 safe = np.maximum(row_max[rescale], 1e-300)
                 scales[remap] = g_on / (safe * self.scale_headroom)
+                # The cells of rows that keep their scale.
+                if affected is rows:
+                    keep = ~rescale
+                else:
+                    rescaled = np.zeros(self.n_out, dtype=bool)
+                    rescaled[remap] = True
+                    keep = ~rescaled[rows]
         elif values.max() * scales[0] > g_on:
-            a_max = max(float(coefficients.max()), 1e-300)
+            a_max = max(float(self._row_cells(member).max()), 1e-300)
             scales[:] = g_on / (a_max * self.scale_headroom)
             remap = self._rows
             self._full_reprograms[member] += 1
@@ -421,14 +494,11 @@ class AnalogOperatorStack:
         if not remap.size:
             return self._program_cells(member, rows, cols, values)
         report = self._program_rows(member, remap)
-        if remap.size < self.n_out:
-            rescaled = np.zeros(self.n_out, dtype=bool)
-            rescaled[remap] = True
-            keep = ~rescaled[rows]
-            if keep.any():
-                report = report + self._program_cells(
-                    member, rows[keep], cols[keep], values[keep]
-                )
+        # Only a row-scaled rescale leaves rows, and so cells, to keep.
+        if remap.size < self.n_out and keep.any():
+            report = report + self._program_cells(
+                member, rows[keep], cols[keep], values[keep]
+            )
         return report
 
     def update_coefficients(
@@ -467,6 +537,7 @@ class AnalogOperatorStack:
         if values.min() < 0:
             raise MappingError("coefficients must be non-negative")
         if self.row_scaling or selected.size == 1:
+            _check_indices(rows, cols)
             for pos, member in enumerate(selected):
                 results[member] = self._update(
                     int(member), rows, cols, values[pos],
@@ -476,6 +547,9 @@ class AnalogOperatorStack:
 
         cells = (selected[:, None], rows[None, :], cols[None, :])
         self._coefficients[cells] = values
+        self._live[cells] = True
+        if self._diagonal.any() and (rows != cols).any():
+            self._diagonal[selected] = False
         scale = self._scales[selected, 0]
         needs_remap = values.max(axis=1) * scale > self.params.g_on
         scale_after = scale

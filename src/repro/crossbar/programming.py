@@ -129,11 +129,17 @@ def _pulses_per_cell(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise write pulses and changed-cell mask for ``old -> new``.
 
-    Both grids convert to device state in one elementwise pass over
-    their concatenation, which keeps the per-call dispatch count of
-    small differential writes low.
+    Both grids convert to device state (the :func:`conductance_to_state`
+    arithmetic, in the same order) in place on their concatenation,
+    which keeps the per-call dispatch count of small differential
+    writes low.
     """
-    state = conductance_to_state(np.concatenate((old, new)), params)
+    state = np.concatenate((old, new))
+    np.maximum(state, params.g_off, out=state)
+    np.minimum(state, params.g_on, out=state)
+    np.divide(1.0, state, out=state)
+    np.subtract(params.r_off, state, out=state)
+    np.divide(state, params.r_off - params.r_on, out=state)
     swing = np.abs(state[len(old):] - state[: len(old)])
     if tolerance > 0.0:
         scale = np.maximum(np.abs(old), params.g_off)
@@ -212,4 +218,21 @@ def plan_write(
         int(pulses.sum()),
         (n_rows - 1) + (n_cols - 1),
         params,
+    )
+
+
+def plan_cells(
+    old: np.ndarray, new: np.ndarray, params: DeviceParameters
+) -> WriteReport:
+    """Cost of a differential write of k cells.
+
+    ``old`` and ``new`` are the cells' programmed and target
+    conductances as 1-D float arrays.  The write is planned as one
+    ``(1, k)`` row, so each pulse charges ``k - 1`` half-selected
+    devices: the report equals ``plan_write(old.reshape(1, -1),
+    new.reshape(1, -1), params)`` without its conversions and checks.
+    """
+    pulses, changed = _pulses_per_cell(old, new, params, 0.0)
+    return _write_cost(
+        int(np.count_nonzero(changed)), int(pulses.sum()), new.size - 1, params
     )

@@ -44,7 +44,16 @@ Determinism contract (gated by ``tests/property``):
   (:func:`write_cells`) with that member's generator;
 - column-sum denominators use the canonical per-column reduction of
   :func:`canonical_colsums`, so a dirty-column cache refresh matches a
-  full recompute bitwise.
+  full recompute bitwise;
+- a *diagonal* member (square, no nonzero off-diagonal cell in either
+  grid; re-read from the grids by every bulk operation, ended by a
+  differential write that leaves such a cell) is solved by division,
+  ``g_s V_O / diag``: bitwise what LAPACK's ``gesv`` returns for a
+  diagonal matrix, except that its substitution may flip the sign of a
+  zero, so a right-hand side holding a zero goes to LAPACK.  When every
+  member is diagonal the multiply denominators read ``g_s + diagonal``,
+  bitwise the canonical sum of a column whose other cells are zero.
+  Every other member keeps LAPACK and the canonical sums.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import Backend, get_backend
-from repro.crossbar.programming import WriteReport, plan_write
+from repro.crossbar.programming import WriteReport, plan_cells, plan_write
 from repro.devices.models import HP_TIO2, DeviceParameters
 from repro.devices.variation import NoVariation, VariationModel
 from repro.exceptions import CrossbarSolveError, MappingError
@@ -72,6 +81,17 @@ def canonical_colsums(matrix: np.ndarray) -> np.ndarray:
     refresh exactly reproducible.
     """
     return np.ascontiguousarray(matrix.T).sum(axis=1)
+
+
+def diagonal_grids(grids: np.ndarray) -> np.ndarray:
+    """Which square ``(K, n, n)`` grids have no nonzero off-diagonal cell.
+
+    A grid is diagonal when its nonzero cells are exactly its nonzero
+    diagonal cells.
+    """
+    return np.count_nonzero(grids, axis=(1, 2)) == np.count_nonzero(
+        np.diagonal(grids, axis1=1, axis2=2), axis=1
+    )
 
 
 def run_write_verify(
@@ -113,11 +133,7 @@ def run_write_verify(
         repulsed |= bad
         bad_rows = rows[bad]
         bad_cols = cols[bad]
-        pulse_cost = plan_write(
-            realized[bad].reshape(1, -1),
-            targets[bad].reshape(1, -1),
-            params,
-        )
+        pulse_cost = plan_cells(realized[bad], targets[bad], params)
         report = report + WriteReport(
             cells_written=0,
             pulses=pulse_cost.pulses,
@@ -306,6 +322,10 @@ class CrossbarStack:
         self._total_reports = [
             WriteReport(0, 0, 0.0, 0.0) for _ in range(self.n_members)
         ]
+        # Diagonal members (see the module notes); a blank array can
+        # already hold stuck-ON cells, so even this is read.
+        self._diagonal = np.zeros(self.n_members, dtype=bool)
+        self._derive_diagonal()
         # Multiply denominators ``g_s + column sums``, cached with the
         # sums in the canonical reduction order (see canonical_colsums).
         # A write marks exactly its columns dirty and the next read
@@ -319,6 +339,17 @@ class CrossbarStack:
         self._dirty_cols = np.zeros(self.n_cols, dtype=bool)
         self._stale = False
 
+    # -- structure ---------------------------------------------------------
+
+    def _derive_diagonal(self, members=None) -> None:
+        """Re-read which of the given members have both grids diagonal."""
+        if self.n_rows != self.n_cols:
+            return
+        members = slice(None) if members is None else members
+        self._diagonal[members] = diagonal_grids(
+            self._nominal[members]
+        ) & diagonal_grids(self._actual[members])
+
     # -- column-sum caches -------------------------------------------------
 
     def _denominators(self, stack: np.ndarray, cols=None) -> np.ndarray:
@@ -326,8 +357,13 @@ class CrossbarStack:
 
         Both forms reduce each column as one contiguous vector: the full
         form through a contiguous copy of the transpose, the subset form
-        through the fresh block its fancy index gathers.
+        through the fresh block its fancy index gathers.  When every
+        member is diagonal a column's sum is its diagonal cell (the
+        reduction adds only zeros to it), read in O(columns).
         """
+        if self._diagonal.all():
+            diagonal = np.diagonal(stack, axis1=1, axis2=2)
+            return self.g_sense + (diagonal if cols is None else diagonal[:, cols])
         columns = stack.transpose(0, 2, 1)
         if cols is None:
             columns = np.ascontiguousarray(columns)
@@ -454,24 +490,60 @@ class CrossbarStack:
         old: np.ndarray,
     ) -> WriteReport:
         """Plan and write one member's validated, moving cells."""
-        report = plan_write(
-            old.reshape(1, -1), targets.reshape(1, -1), self.params
-        )
+        nominal = self._nominal[member]
+        actual = self._actual[member]
         report = write_cells(
-            self._nominal[member],
-            self._actual[member],
+            nominal,
+            actual,
             rows,
             cols,
             targets,
-            report,
+            plan_cells(old, targets, self.params),
             params=self.params,
             variation=self.variation,
             rng=self.rngs[member],
             write_verify=self.write_verify,
         )
         self._mark_dirty(cols)
+        if self._diagonal[member]:
+            off = rows != cols
+            if off.any():
+                rows, cols = rows[off], cols[off]
+                if nominal[rows, cols].any() or actual[rows, cols].any():
+                    self._diagonal[member] = False
         self._log_write(member, report)
         return report
+
+    def _write_cells(
+        self,
+        member: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        conductances: np.ndarray,
+        *,
+        skip_unchanged: bool = False,
+        old: np.ndarray | None = None,
+    ) -> WriteReport:
+        """:meth:`program_member_cells` for trusted index arrays.
+
+        The operator stack builds in-range, aligned 1-D index arrays
+        itself.  A caller that diffed the cells passes only moving ones
+        with their programmed values as ``old``.
+        """
+        if rows.size == 0:
+            return WriteReport(0, 0, 0.0, 0.0)
+        if old is None:
+            old = self._nominal[member][rows, cols]
+            if skip_unchanged:
+                moved = conductances != old
+                count = np.count_nonzero(moved)
+                if count == 0:
+                    return WriteReport(0, 0, 0.0, 0.0)
+                if count < moved.size:
+                    rows, cols = rows[moved], cols[moved]
+                    conductances, old = conductances[moved], old[moved]
+        validate_targets(conductances, self.params.g_on, self._where(member))
+        return self._write(member, rows, cols, conductances, old)
 
     # -- programming -------------------------------------------------------
 
@@ -513,6 +585,7 @@ class CrossbarStack:
                 member, rows, cols, reports[member]
             )
             self._log_write(member, reports[member])
+        self._derive_diagonal()
         return reports
 
     def program_member_cells(
@@ -552,17 +625,9 @@ class CrossbarStack:
             raise IndexError("row index out of range")
         if cols.min() < 0 or cols.max() >= self.n_cols:
             raise IndexError("column index out of range")
-        old = self._nominal[member][rows, cols]
-        if skip_unchanged:
-            moved = conductances != old
-            count = np.count_nonzero(moved)
-            if count == 0:
-                return WriteReport(0, 0, 0.0, 0.0)
-            if count < moved.size:
-                rows, cols = rows[moved], cols[moved]
-                conductances, old = conductances[moved], old[moved]
-        validate_targets(conductances, self.params.g_on, self._where(member))
-        return self._write(member, rows, cols, conductances, old)
+        return self._write_cells(
+            member, rows, cols, conductances, skip_unchanged=skip_unchanged
+        )
 
     def program_cells(
         self,
@@ -643,7 +708,8 @@ class CrossbarStack:
         sparse augmented Newton matrices that is O(nnz).
         """
         results: list[WriteReport | None] = [None] * self.n_members
-        for member in self._member_indices(members):
+        selected = self._member_indices(members)
+        for member in selected:
             member = int(member)
             nominal = self._nominal[member]
             rows, cols = np.nonzero(nominal)
@@ -656,6 +722,7 @@ class CrossbarStack:
                 self._mark_dirty(cols)
             self._log_write(member, report)
             results[member] = report
+        self._derive_diagonal(selected)
         return results
 
     # -- fault injection -------------------------------------------------------
@@ -693,6 +760,7 @@ class CrossbarStack:
             self._actual[member, rows, :] = 0.0
             forced += rows.size * self.n_cols
         self._mark_dirty()
+        self._derive_diagonal()
         return int(forced)
 
     def apply_drift(
@@ -722,6 +790,7 @@ class CrossbarStack:
             )
             np.clip(actual * factors, 0.0, self.params.g_on, out=actual)
         self._mark_dirty()
+        self._derive_diagonal()
 
     # -- analog primitives ---------------------------------------------------
 
@@ -766,15 +835,15 @@ class CrossbarStack:
     ) -> tuple[np.ndarray, list[CrossbarSolveError | None]]:
         """Batched analog solve with per-member failure isolation.
 
-        Solves every member's ``G^T V_I = g_s V_O`` in one backend
-        call.  When the batched kernel rejects the stack (any singular
-        member — the failure mode of Section 4.3), the members are
-        re-solved individually so one bad draw cannot poison the
-        fleet: the returned error list carries a
-        :class:`CrossbarSolveError` per failed member and ``None`` per
-        healthy one; failed members' solution rows are zeros.  With
-        ``members`` set, ``v_out`` is ``(len(selected), n)`` and both
-        returns are selected-length, in index order.
+        Solves every member's ``G^T V_I = g_s V_O``: diagonal members
+        by division, the others in one backend call.  When the batched
+        kernel rejects the stack (any singular member — the failure
+        mode of Section 4.3), the members are re-solved individually so
+        one bad draw cannot poison the fleet: the returned error list
+        carries a :class:`CrossbarSolveError` per failed member and
+        ``None`` per healthy one; failed members' solution rows are
+        zeros.  With ``members`` set, ``v_out`` is ``(len(selected),
+        n)`` and both returns are selected-length, in index order.
         """
         if self.n_rows != self.n_cols:
             raise CrossbarSolveError(
@@ -782,12 +851,62 @@ class CrossbarStack:
                 f"{self.n_rows}x{self.n_cols}"
             )
         selected, v_out = self._select(v_out, self.n_cols, members)
-        stack = self._actual if selected is None else self._actual[selected]
-        count = len(v_out)
+        which = slice(None) if selected is None else selected
         rhs = self.g_sense * v_out
+        by_division = self._diagonal[which]
+        if by_division.any():
+            # Substitution may flip the sign of a zero on the right-hand
+            # side, so such a member goes through LAPACK like a dense one.
+            by_division = by_division & (rhs != 0.0).all(axis=1)
+        if not by_division.any():
+            solutions, errors = self._solve_dense(which, rhs)
+        elif by_division.all():
+            solutions, errors = self._solve_diagonal(which, rhs)
+        else:
+            index = np.arange(self.n_members)[which]
+            solutions = np.empty_like(rhs)
+            errors = [None] * len(rhs)
+            for part, solver in (
+                (np.flatnonzero(by_division), self._solve_diagonal),
+                (np.flatnonzero(~by_division), self._solve_dense),
+            ):
+                solutions[part], part_errors = solver(index[part], rhs[part])
+                for pos, error in zip(part, part_errors):
+                    errors[pos] = error
+        if not np.isfinite(solutions).all():
+            finite = np.isfinite(solutions).all(axis=1)
+            for index in np.flatnonzero(~finite):
+                if errors[index] is None:
+                    errors[index] = CrossbarSolveError(
+                        "analog solve produced non-finite rails"
+                    )
+                solutions[index] = 0.0
+        return solutions, errors
+
+    def _solve_diagonal(
+        self, which, rhs: np.ndarray
+    ) -> tuple[np.ndarray, list[CrossbarSolveError | None]]:
+        """``rhs / diag`` for diagonal members: O(n), bitwise ``gesv``."""
+        diagonal = np.diagonal(self._actual, axis1=1, axis2=2)[which]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            solutions = rhs / diagonal
+        errors: list[CrossbarSolveError | None] = [None] * len(rhs)
+        for index in np.flatnonzero((diagonal == 0.0).any(axis=1)):
+            errors[index] = CrossbarSolveError(
+                "perturbed conductance matrix is singular"
+            )
+            solutions[index] = 0.0
+        return solutions, errors
+
+    def _solve_dense(
+        self, which, rhs: np.ndarray
+    ) -> tuple[np.ndarray, list[CrossbarSolveError | None]]:
+        """One backend solve over the members, isolating singular ones."""
+        stack = self._actual[which]
+        count = len(rhs)
         errors: list[CrossbarSolveError | None] = [None] * count
         try:
-            solutions = self.backend.solve_t(stack, rhs)
+            return self.backend.solve_t(stack, rhs), errors
         except np.linalg.LinAlgError:
             # Per-member fallback: a 2-D solve is bitwise what the
             # batched gufunc computes for that slice, so isolation
@@ -803,15 +922,7 @@ class CrossbarStack:
                         "perturbed conductance matrix is singular"
                     )
                     errors[index].__cause__ = exc
-        if not np.isfinite(solutions).all():
-            finite = np.isfinite(solutions).all(axis=1)
-            for index in np.flatnonzero(~finite):
-                if errors[index] is None:
-                    errors[index] = CrossbarSolveError(
-                        "analog solve produced non-finite rails"
-                    )
-                solutions[index] = 0.0
-        return solutions, errors
+            return solutions, errors
 
     def solve(self, v_out: np.ndarray) -> np.ndarray:
         """Batched analog solve; raises if *any* member fails.

@@ -36,7 +36,9 @@ retry budget of every job placed on them.
 Every state transition is counted once, as a ``pool.*`` series of the
 pool's :class:`~repro.obs.metrics.MetricsRegistry` (the service's
 telemetry registry): warm/cold placements, evictions, drains,
-recoveries, retirements, injected faults, and breaker transitions.
+recoveries, retirements, injected faults, and breaker transitions —
+plus the cells and write energy each recovery rebuild programs, which
+no job record carries.
 
 Thread safety: every public method is atomic under the pool's lock.
 The concurrent service passes its *own* scheduler lock in, so pool
@@ -492,6 +494,13 @@ class CrossbarPool:
                     member.state = MemberState.EMPTY
                     break
                 member.operator = member.programmer(self.rng, self.tracer)
+                # The rebuild runs outside any job, so no record prices
+                # its programming: count it here, once per rebuild.
+                rebuild = member.operator.write_report
+                self.registry.inc(
+                    "pool.recover_cells_written", rebuild.cells_written
+                )
+                self.registry.inc("pool.recover_energy_j", rebuild.energy_j)
                 self._apply_pending_fault(member, self.rng)
                 if self.probe is not None:
                     report = probe_operator(

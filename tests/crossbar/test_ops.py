@@ -186,6 +186,19 @@ class TestUpdates:
                 np.array([0]), np.array([0]), np.array([-1.0])
             )
 
+    def test_negative_index_rejected_before_any_change(self, rng):
+        # A negative index would wrap around to the last row or column;
+        # the update refuses it before touching coefficients or cells.
+        op = operator_for(rng, np.ones((3, 3)))
+        coefficients = op.coefficients
+        written = op.write_report
+        with pytest.raises(IndexError, match="out of range"):
+            op.update_coefficients(
+                np.array([0, -1]), np.array([1, 1]), np.array([0.5, 0.5])
+            )
+        assert np.array_equal(op.coefficients, coefficients)
+        assert op.write_report == written
+
     def test_shape_mismatch_rejected(self, rng):
         op = operator_for(rng, np.ones((3, 3)))
         with pytest.raises(ValueError, match="matching"):

@@ -108,6 +108,26 @@ class TestTraceHoldsNoServiceNumbers:
         assert registry.counter_value("service.chaos.events") == 4
 
 
+class TestCellsReconcile:
+    def test_traced_cells_equal_records_plus_recover_rebuilds(self, chaos_run):
+        # Every programmed cell is priced once: by the attempt that
+        # wrote it, or (a drained member's rebuild, which runs outside
+        # any job) by the pool's recover series.
+        _, telemetry, tracer, records, _ = chaos_run
+        registry = telemetry.registry
+        rebuilt = registry.counter_value("pool.recover_cells_written")
+        assert registry.counter_value("pool.recoveries") > 0
+        assert rebuilt > 0
+        assert registry.counter_value("pool.recover_energy_j") > 0
+        attempts = sum(
+            attempt.cells_written
+            for record in records
+            for attempt in record.attempts
+        )
+        traced = replay_counters(tracer.event_dicts())["crossbar.cells_written"]
+        assert traced == attempts + rebuilt
+
+
 class TestLatencyReconciles:
     def test_replayed_histogram_equals_live_exactly(self, chaos_run):
         # Replaying the record stream's latencies bucket-wise

@@ -11,7 +11,8 @@ optimization would silently change solver trajectories:
   applied to the initial matrix versus a full ``build_matrix``;
 - differential cell programming (``skip_unchanged=True``) versus a
   full-grid reprogram;
-- the dirty-column sum cache versus a fresh full-axis sum.
+- the dirty-column sum cache versus a fresh full-axis sum, including
+  the diagonal read a diagonal array takes instead of the sums.
 """
 
 import numpy as np
@@ -147,3 +148,26 @@ class TestDifferentialProgrammingIdentity:
                 array.nominal_conductances
             )
             assert np.array_equal(array.nominal_denominators(), expected)
+
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_diagonal_denominators_match_canonical_colsums(self, seed):
+        # A diagonal array reads g_s + its diagonal instead of reducing
+        # columns; that must be bitwise the canonical reduction.
+        rng = np.random.default_rng(seed)
+        params = YAKOPCIC_NAECON14
+        size = int(rng.integers(2, 40))
+        array = CrossbarArray(size, size, params=params)
+        diagonal = rng.uniform(params.g_off, params.g_on, size)
+        diagonal[rng.random(size) < 0.2] = 0.0
+        array.program(np.diag(diagonal))
+        for _ in range(4):
+            cells = rng.integers(0, size, int(rng.integers(1, size + 1)))
+            targets = rng.uniform(params.g_off, params.g_on, cells.size)
+            targets[rng.random(cells.size) < 0.2] = 0.0
+            array.program_cells(cells, cells, targets)
+            assert array._stack._diagonal[0]
+            expected = array.g_sense + canonical_colsums(
+                array.nominal_conductances
+            )
+            assert array.nominal_denominators().tobytes() == expected.tobytes()

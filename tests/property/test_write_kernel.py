@@ -3,14 +3,18 @@
 Coefficient updates reach the crossbar through one kernel
 (:func:`repro.crossbar.stack.write_cells`) fed with cells that are
 already diffed: rescaled or remapped row blocks are compared against
-the programmed grid in one 2-D pass.  Before the kernel, every row
+the programmed grid in one 2-D pass, and a diagonal operator's rows
+touch only their diagonal cell.  Before the kernel, every row
 block was expanded with ``np.meshgrid``, mapped with ``map_cells``,
 filtered with ``plan_diff`` and planned with ``plan_write``; that path
 is kept below, verbatim, as a standalone reference operator on its own
 grids, driven beside the real operator.  Through random
 ``update_coefficients`` / ``renormalize`` sequences, the two must agree
 bitwise after every call: nominal and actual grids, floored mask,
-scales, every :class:`WriteReport` field and the generator state.
+scales, every :class:`WriteReport` field and the generator state.  The
+sequences run over random sparse matrices, over diagonal matrices
+(Solver 2's M2 and D arrays) and over M1-like block-sparse matrices
+whose coupling diagonals sit off the main diagonal.
 """
 
 import dataclasses
@@ -352,6 +356,106 @@ def test_kernel_matches_pre_kernel_write_path(
             # A duplicate coordinate can carry a value its row's window
             # cannot hold; both paths must then fail the same way.
             rows, cols, values, floor = random_update(rng, n_out, n_in)
+            got = outcome(
+                lambda: op.update_coefficients(
+                    rows, cols, values, floor_to_representable=floor
+                )
+            )
+            want = outcome(
+                lambda: ref.update_coefficients(
+                    rows, cols, values, floor_to_representable=floor
+                )
+            )
+        assert_bitwise_equal(op, ref, got, want)
+
+
+def structured_matrix(rng, kind, size):
+    """A diagonal or an M1-like block-sparse coefficient matrix."""
+    if kind == "diagonal":
+        diagonal = 10.0 ** rng.uniform(-4.0, 2.0, size)
+        diagonal[rng.random(size) < 0.1] = 0.0
+        return np.diag(diagonal)
+    # [A 0; c I A^T]-style blocks: two dense blocks, an identity-like
+    # link block and an off-diagonal coupling diagonal.
+    half = size // 2
+    matrix = np.zeros((size, size))
+    block = np.where(
+        rng.random((half, size - half)) < 0.6,
+        rng.uniform(0.0, 3.0, (half, size - half)),
+        0.0,
+    )
+    matrix[:half, half:] = block
+    matrix[half:, :half] = block.T
+    coupling = np.arange(min(half, size - half))
+    matrix[half + coupling, coupling] = 10.0 ** rng.uniform(-3.0, 1.0, coupling.size)
+    return matrix
+
+
+def structured_update(rng, kind, size):
+    """Updates in the matrix's own pattern, plus the odd stray cell."""
+    if kind == "diagonal":
+        rows = np.arange(size)
+        if rng.random() < 0.4:
+            rows = np.sort(rng.choice(size, int(rng.integers(1, size + 1)), replace=False))
+        cols = rows.copy()
+        if rng.random() < 0.2:
+            # Unsorted and duplicate diagonal cells.
+            rows = rng.integers(0, size, size)
+            cols = rows.copy()
+    else:
+        half = size // 2
+        coupling = np.arange(min(half, size - half))
+        rows, cols = half + coupling, coupling.copy()
+    values = 10.0 ** rng.uniform(-5.0, 2.0, rows.size)
+    values[rng.random(rows.size) < 0.1] = 0.0
+    if rng.random() < 0.15:
+        # A stray off-diagonal cell: zero keeps a diagonal operator's
+        # structure, a nonzero value ends it.
+        row, col = rng.choice(size, 2, replace=False)
+        rows = np.append(rows, row)
+        cols = np.append(cols, col)
+        values = np.append(values, 0.0 if rng.random() < 0.5 else 1.0)
+    return rows, cols, values, bool(rng.random() < 0.7)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(["diagonal", "block"]),
+    row_scaling=st.sampled_from([True, True, False]),
+    off_state=st.sampled_from(["zero", "leak"]),
+    verify=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_on_structured_matrices(
+    seed, kind, row_scaling, off_state, verify
+):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 12))
+    matrix = structured_matrix(rng, kind, size)
+    hardware = dict(
+        params=YAKOPCIC_NAECON14,
+        variation=UniformVariation(0.05),
+        row_scaling=row_scaling,
+        off_state=off_state,
+        scale_headroom=float(rng.choice([1.0, 2.0, 4.0])),
+        write_verify=WriteVerifyPolicy(tolerance=0.02) if verify else None,
+    )
+    op_seed = int(rng.integers(2**63))
+    op = AnalogMatrixOperator(
+        matrix, rng=np.random.default_rng(op_seed), **hardware
+    )
+    ref = ReferenceOperator(
+        matrix, rng=np.random.default_rng(op_seed), **hardware
+    )
+    # A diagonal matrix takes the diagonal row path from the start.
+    assert bool(op._stack._diagonal[0]) == (kind == "diagonal")
+    assert_bitwise_equal(op, ref, None, None)
+    for _ in range(10):
+        if rng.random() < 0.2:
+            got = outcome(op.renormalize)
+            want = outcome(ref.renormalize)
+        else:
+            rows, cols, values, floor = structured_update(rng, kind, size)
             got = outcome(
                 lambda: op.update_coefficients(
                     rows, cols, values, floor_to_representable=floor
