@@ -9,7 +9,6 @@ wall-clock anchors the CPU latency model.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.problem import LinearProgram
 from repro.core.result import SolverResult, SolveStatus
@@ -26,6 +25,10 @@ def solve_scipy(
     else unsuccessful -> NUMERICAL_FAILURE) and ``elapsed_seconds``
     measured on the shared monotonic clock.
     """
+    # Imported here: no solve or serve path needs scipy.optimize, and
+    # importing it costs about a third of a second.
+    from scipy import optimize
+
     m, n = problem.A.shape
     with Stopwatch() as clock:
         outcome = optimize.linprog(

@@ -22,9 +22,12 @@ round-off), which is what the tests assert.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class DetailedCrossbarCircuit:
@@ -105,6 +108,10 @@ class DetailedCrossbarCircuit:
         )
 
     def _assemble_nodal_matrix(self) -> sparse.csr_matrix:
+        # Imported here, as in _solve_network: the package re-exports
+        # this module, and no solve or serve path needs scipy.sparse.
+        from scipy import sparse
+
         n, m = self.n_rows, self.n_cols
         size = 2 * n * m
         g_wire = (
@@ -163,6 +170,8 @@ class DetailedCrossbarCircuit:
         return matrix
 
     def _solve_network(self, v_in: np.ndarray) -> np.ndarray:
+        from scipy.sparse import linalg as sparse_linalg
+
         n, m = self.n_rows, self.n_cols
         laplacian = self._nodal_matrix()
         injection = np.zeros(2 * n * m)

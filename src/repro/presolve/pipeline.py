@@ -52,6 +52,9 @@ from repro.presolve.scaling import (
 #: produce); near-misses stay in the problem.
 _PROPORTIONAL_RTOL = 1e-12
 
+#: Residual cells per block of the proportional-pair screen.
+_SCREEN_CELLS = 1 << 18
+
 
 class PresolveStatus(enum.Enum):
     """Terminal classification of a presolve pass."""
@@ -562,6 +565,59 @@ def presolve(
     )
 
 
+def _proportional_pair(A: np.ndarray) -> bool:
+    """Whether :func:`_collapse_proportional_rows` would group any two
+    rows of ``A`` with every row and column alive.
+
+    Every pair ``p < q`` is tested with the rule's own pivot, ratio,
+    budget and residual arithmetic, so a pair hits here exactly when it
+    hits there; with no hit the greedy scan claims no row, and so tests
+    every one of these pairs.  A pair hits only if every residual cell
+    is within budget, so the cell on ``q``'s own pivot column is tested
+    first, for all pairs of a block of representatives at once: it
+    rules out nearly every pair that is not proportional.  Blocks hold
+    about :data:`_SCREEN_CELLS` residual cells, which bounds memory.
+    """
+    m, n = A.shape
+    if m < 2:
+        return False
+    pivots = np.abs(A).argmax(axis=1)
+    heads = A[np.arange(m), pivots]
+    step = max(1, _SCREEN_CELLS // (m * n))
+    for lo in range(0, m - 1, step):
+        reps = np.arange(lo, min(lo + step, m - 1))
+        # ratios[i, q]: row q against representative reps[i].
+        ratios = A[:, pivots[reps]].T / heads[reps, None]
+        budgets = (_PROPORTIONAL_RTOL * np.abs(heads[reps]))[
+            :, None
+        ] * np.maximum(1.0, np.abs(ratios))
+        own = np.abs(heads - ratios * A[np.ix_(reps, pivots)]) <= budgets
+        later = np.arange(m) > reps[:, None]
+        i, q = np.nonzero(own & (ratios != 0.0) & later)
+        residuals = np.abs(A[q] - ratios[i, q, None] * A[reps[i]])
+        if (residuals.max(axis=1) <= budgets[i, q]).any():
+            return True
+    return False
+
+
+def _reducible(A: np.ndarray) -> bool:
+    """Whether any reduction rule can fire on ``A`` for some ``b``, ``c``.
+
+    In the fixpoint's first pass every row and column is alive, and a
+    rule can act only on a row with at most one nonzero, a column with
+    none, two bit-identical columns, or two rows the proportional rule
+    groups.  ``False`` therefore means that first pass changes nothing
+    and finds no certificate for every right-hand side and objective:
+    the fixpoint stops there with nothing reduced.
+    """
+    nonzero = A != 0.0
+    if (nonzero.sum(axis=1) <= 1).any() or not nonzero.any(axis=0).all():
+        return True
+    if len({column.tobytes() for column in A.T}) < A.shape[1]:
+        return True
+    return _proportional_pair(A)
+
+
 def detect_infeasible(problem: LinearProgram) -> str | None:
     """Cheap admission screen: certificate string if provably infeasible.
 
@@ -569,8 +625,12 @@ def detect_infeasible(problem: LinearProgram) -> str | None:
     infeasibility certificate, or ``None`` when presolve cannot rule
     the instance out (which is *not* a feasibility proof).  The
     serving layer calls this before placing a job so a doomed instance
-    never burns O(N^2) programming writes.
+    never burns O(N^2) programming writes.  When :func:`_reducible`
+    finds no rule that could fire on ``A``, the answer is ``None``
+    without running the fixpoint.
     """
+    if not _reducible(problem.A):
+        return None
     reduced = presolve(problem, scaling="none")
     if reduced.report.status is PresolveStatus.INFEASIBLE:
         return reduced.report.detail

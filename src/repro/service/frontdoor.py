@@ -36,6 +36,13 @@ Endpoints (all JSON / JSONL, no dependencies beyond the stdlib):
   counts.
 - ``GET /healthz`` — liveness plus queue depth and brownout tier.
 
+Connections are persistent (HTTP/1.1): a client may send every request
+over one connection, served by one handler thread.  HTTP/1.0 requests
+and ``Connection: close`` get one reply and a closed connection.  A
+reply that leaves request bytes unread on the socket closes the
+connection too: a bad ``Content-Length`` (400) and any
+``Transfer-Encoding`` body (411), whose length the door cannot tell.
+
 Thread safety: handler threads touch the service only through its
 thread-safe admission methods, and each admission wakes an idle
 dispatcher worker through the service's condition; completed records
@@ -49,7 +56,9 @@ locks cannot deadlock.
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qs, urlparse
@@ -94,11 +103,11 @@ class FrontDoor:
         self._user_on_record = on_record
         self._records: list[JobRecord] = []
         self._cond = threading.Condition()
+        # Set by stop(): pending and later /stream long-polls return at
+        # once with the records they have.
+        self._stopping = False
         self._dispatcher = ConcurrentDispatcher(service)
-        self._server = ThreadingHTTPServer((host, port), _Handler)
-        # The handler reaches the door through its server; stop()
-        # unlinks the two so a stopped door is freed by refcounting.
-        self._server.door = self
+        self._server = _Server((host, port), self)
         self._thread: threading.Thread | None = None
 
     @property
@@ -135,13 +144,22 @@ class FrontDoor:
         """Stop listening, finish queued work, return all records.
 
         In-flight and queued jobs complete before this returns (an
-        accepted job is never lost); new submissions are refused as
-        soon as the socket closes.
+        accepted job is never lost).  The listening socket closes
+        first; then pending ``/stream`` long-polls wake and return the
+        records they already have, and every open connection is closed
+        and its handler thread joined, so no request reaches a stopped
+        door.
         """
         self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join()
+        with self._cond:
+            self._stopping = True
+            self._cond.notify_all()
+        self._server.close_connections()
+        # The handlers reached the door through its server; unlinking
+        # the two lets a stopped door be freed by refcounting.
         self._server.door = None
         return self._dispatcher.stop()
 
@@ -170,30 +188,105 @@ def _spec_from_line(line: str, spec_type: type):
     return spec_type.from_dict(data)
 
 
+#: Seconds :meth:`_Server.close_connections` lets a handler finish the
+#: reply it is writing before its connection is cut both ways.
+_CLOSE_GRACE_S = 1.0
+
+
+class _Server(ThreadingHTTPServer):
+    """The door's HTTP server: one daemon thread per connection.
+
+    Each connection and its thread are tracked from accept to close,
+    so :meth:`close_connections` can end idle persistent connections,
+    which would otherwise keep a thread blocked on the next request.
+    """
+
+    def __init__(self, address: tuple[str, int], door: FrontDoor) -> None:
+        super().__init__(address, _Handler)
+        self.door: FrontDoor | None = door
+        self._lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request, client_address) -> None:
+        """Serve the connection on a new daemon thread."""
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-frontdoor-conn",
+            daemon=True,
+        )
+        with self._lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        """Forget the connection, then close it."""
+        with self._lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def _shutdown_connections(self, how: int) -> list[threading.Thread]:
+        # Under the lock: a tracked socket is not closed yet, so its
+        # descriptor cannot have been reused.
+        with self._lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(how)
+                except OSError:
+                    pass  # the peer already reset it
+            return list(self._connections.values())
+
+    def close_connections(self) -> None:
+        """Close every open connection and join its handler thread.
+
+        Reading ends first: an idle handler sees end of stream, and a
+        busy one finishes the reply it is writing.  A handler still
+        running after :data:`_CLOSE_GRACE_S` (say, writing to a client
+        that stopped reading) has its connection cut both ways.
+        """
+        deadline = time.monotonic() + _CLOSE_GRACE_S
+        for thread in self._shutdown_connections(socket.SHUT_RD):
+            thread.join(max(0.0, deadline - time.monotonic()))
+        for thread in self._shutdown_connections(socket.SHUT_RDWR):
+            thread.join()
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Per-request handler; one instance per request, on a stdlib
-    server thread.  The front door is ``self.server.door``; all shared
-    state lives there and is guarded by the door's condition / the
-    service lock."""
+    """Per-connection handler on a :class:`_Server` thread.  The front
+    door is ``self.server.door``; all shared state lives there and is
+    guarded by the door's condition / the service lock."""
+
+    protocol_version = "HTTP/1.1"
+    # Send each reply segment at once.  With Nagle's algorithm, a
+    # persistent connection's second segment waits for the client's
+    # delayed ACK: about 40 ms per round trip.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib API
         """Quiet: no per-request lines on stderr."""
 
-    def _reply(self, status: int, body: bytes, content_type: str) -> None:
+    def _reply(
+        self, status: int, body: bytes, content_type: str, *, close=False
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _reply_json(self, status: int, payload: dict) -> None:
+    def _reply_json(self, status: int, payload: dict, *, close=False) -> None:
         self._reply(
             status,
             (json.dumps(payload, sort_keys=True) + "\n").encode(),
             "application/json",
+            close=close,
         )
 
     def do_GET(self) -> None:  # noqa: D102 - dispatch table below
+        if self._read_body() is None:
+            return
         parsed = urlparse(self.path)
         if parsed.path == "/healthz":
             self._healthz()
@@ -205,11 +298,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply_json(404, {"error": "not found"})
 
     def do_POST(self) -> None:  # noqa: D102 - dispatch table below
+        body = self._read_body()
+        if body is None:
+            return
         path = urlparse(self.path).path
         if path == "/submit":
-            self._admit_lines(JobSpec)
+            self._admit_lines(body, JobSpec)
         elif path == "/resolve":
-            self._admit_lines(ResolveSpec)
+            self._admit_lines(body, ResolveSpec)
         else:
             self._reply_json(404, {"error": "not found"})
 
@@ -240,8 +336,20 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> str | None:
-        """The request body, or ``None`` after a 400 reply when
-        ``Content-Length`` is not a non-negative integer."""
+        """The request body, read whole so the next request on the
+        connection starts at its first byte.  ``None`` after a reply
+        that closes the connection, when the body's length is unknown:
+        a ``Transfer-Encoding`` (411) or a ``Content-Length`` that is
+        not a non-negative integer (400); and ``None`` with no reply
+        when the stream ends before the body does."""
+        if "Transfer-Encoding" in self.headers:
+            self._reply_json(
+                411,
+                {"error": "Transfer-Encoding is not supported; "
+                 "send a Content-Length"},
+                close=True,
+            )
+            return None
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
@@ -250,16 +358,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply_json(
                 400,
                 {"error": "Content-Length must be a non-negative integer"},
+                close=True,
             )
             return None
-        return self.rfile.read(length).decode("utf-8", errors="replace")
+        body = self.rfile.read(length)
+        if len(body) < length:
+            # The client went away, or stop() shut the connection: a
+            # request cut short admits nothing.
+            self.close_connection = True
+            return None
+        return body.decode("utf-8", errors="replace")
 
-    def _admit_lines(self, spec_type: type) -> None:
+    def _admit_lines(self, body: str, spec_type: type) -> None:
         """``POST /submit`` (``JobSpec`` lines) and ``POST /resolve``
         (``ResolveSpec`` lines): one ack per non-blank line."""
-        body = self._read_body()
-        if body is None:
-            return
         service = self.server.door.service
         acks = []
         for line in body.splitlines():
@@ -268,7 +380,9 @@ class _Handler(BaseHTTPRequestHandler):
                 continue
             try:
                 spec = _spec_from_line(line, spec_type)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
+                # RecursionError: JSON nested deeper than the parser
+                # recurses.
                 acks.append({"accepted": False, "error": str(exc)})
                 continue
             try:
@@ -321,9 +435,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         door = self.server.door
         with door._cond:
-            if timeout > 0 and len(door._records) <= since:
+            if timeout > 0:
                 door._cond.wait_for(
-                    lambda: len(door._records) > since,
+                    lambda: len(door._records) > since or door._stopping,
                     timeout=timeout,
                 )
             tail = list(door._records[since:])

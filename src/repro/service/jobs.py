@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import pathlib
 from typing import Iterable, Iterator
@@ -65,9 +66,10 @@ _OPTIONAL_FIELDS = ("max_attempts", "deadline_s")
 
 
 def _check_field_types(spec) -> None:
-    """Raise ``TypeError`` for a wrongly typed field of ``spec``, so a
-    bad JSONL line fails when its spec is built, not inside the
-    scheduler."""
+    """Raise ``TypeError`` for a wrongly typed field of ``spec`` and
+    ``ValueError`` for a number no float holds (NaN, infinite, or an
+    integer too large), so a bad JSONL line fails when its spec is
+    built, not inside the scheduler."""
     for name, (required, label) in _FIELD_TYPES.items():
         if not hasattr(spec, name):
             continue
@@ -78,6 +80,13 @@ def _check_field_types(spec) -> None:
             raise TypeError(
                 f"{name} must be {label}, got {type(value).__name__}"
             )
+        if required is numbers.Real:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be a finite number")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,8 +155,10 @@ class JobSpec:
                 f"unknown job kind {self.kind!r}; expected one of "
                 f"{JOB_KINDS}"
             )
-        if self.variation < 0:
-            raise ValueError("variation percent must be non-negative")
+        if not 0 <= self.variation < 100:
+            # The device model's range; anything else would pass
+            # admission and fail the dispatcher that builds its settings.
+            raise ValueError("variation percent must lie in [0, 100)")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive when set")
         if self.max_attempts is not None and self.max_attempts < 1:
@@ -228,8 +239,18 @@ class ResolveSpec:
         for label, vector in (("b", self.b), ("c", self.c)):
             if vector is None:
                 continue
-            values = tuple(float(v) for v in vector)
-            if not all(np.isfinite(values)):
+            # A JSON string or object would iterate as characters or
+            # keys; a vector is a list of numbers.
+            if not isinstance(vector, (list, tuple, np.ndarray)) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                for v in vector
+            ):
+                raise TypeError(f"{label} must be a list of numbers")
+            try:
+                values = tuple(float(v) for v in vector)
+            except OverflowError:  # an integer no float holds
+                values = None
+            if values is None or not all(np.isfinite(values)):
                 raise ValueError(f"{label} contains non-finite entries")
             object.__setattr__(self, label, values)
 

@@ -14,11 +14,14 @@ inequalities, which matches how the PDIP solvers ingest problems.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-import networkx as nx
-
 from repro.core.problem import LinearProgram
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _edge_index(graph: nx.DiGraph) -> dict[tuple, int]:
@@ -204,6 +207,10 @@ def random_routing_network(
     capacity_range: tuple[float, float] = (1.0, 10.0),
 ) -> nx.DiGraph:
     """A random connected-ish directed network with capacities."""
+    # Imported here: the package re-exports this module, and no solve or
+    # serve path needs networkx.
+    import networkx as nx
+
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
     graph = nx.DiGraph()

@@ -442,3 +442,172 @@ class TestProportionalRowsVectorized:
         assert vectorized.to_dict() == reference.to_dict()
         if reference.problem is not None:
             assert vectorized.problem.A.tobytes() == reference.problem.A.tobytes()
+
+
+def fixpoint_detect_infeasible(problem):
+    """``detect_infeasible`` with no structure screen: the reduction
+    fixpoint on every call.  The oracle the screened one must equal."""
+    reduced = presolve(problem, scaling="none")
+    if reduced.report.status is PresolveStatus.INFEASIBLE:
+        return reduced.report.detail
+    return None
+
+
+#: Structures a reduction rule may act on.
+PLANTS = (
+    "empty_row",
+    "singleton_row",
+    "proportional_row",
+    "empty_col",
+    "duplicate_col",
+)
+
+
+@st.composite
+def planted_structures(draw):
+    """An LP with random ``b`` and ``c`` over a random core (some entries
+    zero) with up to three :data:`PLANTS` added, then shuffled.
+
+    Singleton rows get coefficients of both signs; proportional rows
+    take :data:`FACTORS` and are pushed off an exact multiple by
+    :data:`OFFSETS` of the rule's budget (on a zero entry when there is
+    one); ``b`` and ``c`` entries are negative, zero or positive.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 8)), draw(st.integers(2, 6)))
+    A = rng.uniform(-2.0, 2.0, shape)
+    A[rng.random(shape) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    for kind in draw(st.lists(st.sampled_from(PLANTS), max_size=3)):
+        m, n = A.shape
+        if kind in ("empty_row", "singleton_row"):
+            row = np.zeros(n)
+            if kind == "singleton_row":
+                sign = draw(st.sampled_from([1.0, -1.0]))
+                row[rng.integers(n)] = sign * rng.uniform(0.5, 2.0)
+            A = np.vstack([A, row])
+        elif kind == "proportional_row":
+            source, factor = A[rng.integers(m)], draw(FACTORS)
+            row = factor * source
+            budget = (
+                pipeline._PROPORTIONAL_RTOL
+                * np.max(np.abs(source))
+                * max(1.0, abs(factor))
+            )
+            zeros = np.flatnonzero(row == 0.0)
+            spot = zeros[0] if zeros.size else rng.integers(n)
+            row[spot] += draw(OFFSETS) * budget
+            A = np.vstack([A, row])
+        elif kind == "empty_col":
+            A = np.hstack([A, np.zeros((m, 1))])
+        else:
+            A = np.hstack([A, A[:, [rng.integers(n)]]])
+    A = A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])]
+
+    def signed(size):
+        return rng.choice([-1.0, 0.0, 1.0], size) * rng.uniform(0.5, 3.0, size)
+
+    return LinearProgram(c=signed(A.shape[1]), A=A, b=signed(A.shape[0]))
+
+
+def pairwise_hit(A):
+    """Whether the pairwise scan groups any two rows of ``A``: the
+    reference for the screen's all-pairs test."""
+    for p, rep in enumerate(A):
+        pivot = int(np.argmax(np.abs(rep)))
+        peak = abs(rep[pivot])
+        for q in range(p + 1, A.shape[0]):
+            factor = A[q, pivot] / rep[pivot]
+            if factor == 0.0:
+                continue
+            budget = pipeline._PROPORTIONAL_RTOL * peak * max(1.0, abs(factor))
+            if np.max(np.abs(A[q] - factor * rep)) <= budget:
+                return True
+    return False
+
+
+class TestStructureScreen:
+    @given(planted_structures(), st.sampled_from([1, 5, 1 << 18]))
+    @settings(max_examples=400, deadline=None)
+    def test_screen_is_exact(self, problem, block_cells):
+        with mock.patch.object(pipeline, "_SCREEN_CELLS", block_cells):
+            verdict = detect_infeasible(problem)
+            reducible = pipeline._reducible(problem.A)
+        assert verdict == fixpoint_detect_infeasible(problem)
+        if not reducible:
+            report = presolve(problem, scaling="none").report
+            assert report.status is PresolveStatus.REDUCED
+            assert (report.rows_eliminated, report.cols_eliminated) == (0, 0)
+            assert report.passes == 1
+
+    @given(proportional_families())
+    @settings(max_examples=300, deadline=None)
+    def test_pair_screen_matches_pairwise_scan(self, case):
+        A = case[0]
+        A = A[(A != 0.0).sum(axis=1) >= 2]  # the screen's precondition
+        assert pipeline._proportional_pair(A) == pairwise_hit(A)
+
+    def test_fixtures_agree_with_fixpoint(self):
+        rng = np.random.default_rng(11)
+        problems = [planted_reduction_lp(seed) for seed in range(4)] + [
+            badly_scaled_lp(),
+            random_feasible_lp(12, rng=rng),
+            random_infeasible_lp(12, rng=rng),
+        ]
+        for problem in problems:
+            assert detect_infeasible(problem) == fixpoint_detect_infeasible(
+                problem
+            )
+        assert pipeline._reducible(problems[0].A)
+        assert not pipeline._reducible(problems[5].A)
+        assert pipeline._reducible(problems[6].A)
+
+    def test_irreducible_structure_skips_the_fixpoint(self):
+        problem = random_feasible_lp(12, rng=np.random.default_rng(3))
+        with mock.patch.object(pipeline, "presolve") as fixpoint:
+            assert detect_infeasible(problem) is None
+        fixpoint.assert_not_called()
+
+    @pytest.mark.parametrize("factor", [-1.0, -0.5, -4.0])
+    @pytest.mark.parametrize(
+        "offset, grouped", [(0.999, True), (1.0, True), (1.001, False)]
+    )
+    def test_budget_edge_matches_the_rule(self, factor, offset, grouped):
+        # An exact multiple pushed off by ``offset`` budgets on its zero
+        # cell, with bounds that contradict once the pair is grouped:
+        # the residual equals the budget bit for bit at offset 1.0.
+        source = np.array([2.0, 0.0, -1.5, 0.75])
+        row = factor * source
+        row[1] += (
+            pipeline._PROPORTIONAL_RTOL * 2.0 * max(1.0, abs(factor))
+        ) * offset
+        A = np.vstack([source, row, [1.0, 3.0, 0.5, -2.0]])
+        problem = LinearProgram(
+            c=np.ones(4), A=A, b=np.array([1.0, 2.0 * factor, 5.0])
+        )
+        assert pipeline._reducible(A) is grouped
+        assert (detect_infeasible(problem) is not None) is grouped
+        assert detect_infeasible(problem) == fixpoint_detect_infeasible(problem)
+
+    @pytest.mark.parametrize("kind", PLANTS)
+    def test_each_plant_is_flagged_and_reduced(self, kind):
+        # One benign plant on an irreducible core: the screen must hand
+        # it to the fixpoint, which then eliminates it.
+        core = random_feasible_lp(12, rng=np.random.default_rng(3))
+        A, b, c = core.A, core.b, core.c
+        m, n = A.shape
+        if kind == "empty_row":
+            A, b = np.vstack([A, np.zeros(n)]), np.append(b, 1.0)
+        elif kind == "singleton_row":
+            row = np.zeros(n)
+            row[0] = -1.0  # x_0 >= 0: redundant
+            A, b = np.vstack([A, row]), np.append(b, 0.0)
+        elif kind == "proportional_row":
+            A, b = np.vstack([A, 2.0 * A[0]]), np.append(b, 2.0 * b[0] + 1.0)
+        elif kind == "empty_col":
+            A, c = np.hstack([A, np.zeros((m, 1))]), np.append(c, -1.0)
+        else:
+            A, c = np.hstack([A, A[:, [0]]]), np.append(c, c[0])
+        assert not pipeline._reducible(core.A)
+        assert pipeline._reducible(A)
+        report = presolve(LinearProgram(c=c, A=A, b=b), scaling="none").report
+        assert report.rows_eliminated + report.cols_eliminated == 1

@@ -3,13 +3,19 @@
 import gc
 import http.client
 import json
+import socket
+import sys
+import threading
 import time
 import urllib.request
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.service.dispatch
+from repro.service import frontdoor
 from repro.service import (
     FrontDoor,
     ServiceConfig,
@@ -107,7 +113,8 @@ class TestSubmit:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 404
+        with excinfo.value as error:  # closes the unread reply's socket
+            assert error.code == 404
 
 
 def post_lines(door, path, body):
@@ -241,31 +248,292 @@ class TestResolveEndpoint:
         assert "/resolve" in ack["error"]
 
 
-def raw_post(door, path, length_header, body=b""):
-    """POST with a hand-written ``Content-Length``; returns the reply."""
-    connection = http.client.HTTPConnection(*door.address, timeout=5)
-    try:
-        connection.putrequest("POST", path)
-        connection.putheader("Content-Length", length_header)
-        connection.endheaders()
-        if body:
-            connection.send(body)
-        response = connection.getresponse()
-        return response.status, json.loads(response.read())
-    finally:
-        connection.close()
+def raw_exchange(door, request: bytes) -> bytes:
+    """Send ``request`` as raw bytes and read until the server closes
+    the connection; a server that keeps it open fails on the timeout."""
+    with socket.create_connection(door.address, timeout=5) as connection:
+        connection.sendall(request)
+        data = b""
+        while chunk := connection.recv(65536):
+            data += chunk
+    return data
+
+
+def one_reply(data: bytes) -> tuple[int, dict, dict]:
+    """``(status, headers, JSON payload)`` of the only reply in ``data``."""
+    assert data.count(b"HTTP/1.") == 1, data
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode().split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, json.loads(body)
 
 
 class TestContentLength:
     @pytest.mark.parametrize("path", ["/submit", "/resolve"])
     @pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
     def test_bad_content_length_is_400(self, door, path, length):
-        status, payload = raw_post(door, path, length, b"{}\n")
+        # The unread body would otherwise be parsed as a request line.
+        data = raw_exchange(
+            door,
+            f"POST {path} HTTP/1.1\r\nHost: door\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode()
+            + b"{}\n",
+        )
+        status, headers, payload = one_reply(data)
         assert status == 400
+        assert headers["Connection"] == "close"
         assert "Content-Length" in payload["error"]
         # The door keeps serving.
         acks = post_jobs(door, synthesize_jobs(1, constraints=8))
         assert acks[0]["accepted"]
+
+    def test_chunked_post_is_refused_and_closes(self, door):
+        line = json.dumps({"job_id": "chunked", "constraints": 8}) + "\n"
+        data = raw_exchange(
+            door,
+            b"POST /submit HTTP/1.1\r\nHost: door\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(line):x}\r\n{line}\r\n0\r\n\r\n".encode(),
+        )
+        status, headers, payload = one_reply(data)
+        assert 400 <= status < 500
+        assert headers["Connection"] == "close"
+        assert "Transfer-Encoding" in payload["error"]
+        assert "chunked" not in door.service._catalog
+
+    def test_body_cut_short_admits_nothing(self, door):
+        line = json.dumps({"job_id": "cut", "constraints": 8}) + "\n"
+        with socket.create_connection(door.address, timeout=5) as connection:
+            connection.sendall(
+                b"POST /submit HTTP/1.1\r\nHost: door\r\n"
+                + f"Content-Length: {len(line) + 10}\r\n\r\n{line}".encode()
+            )
+            connection.shutdown(socket.SHUT_WR)
+            assert connection.recv(65536) == b""
+        assert "cut" not in door.service._catalog
+
+
+class TestPersistentConnections:
+    def test_resolve_and_stream_share_one_connection(self, door, monkeypatch):
+        accepted = []
+        serve = door._server.process_request
+
+        def counting(request, client_address):
+            accepted.append(client_address)
+            serve(request, client_address)
+
+        monkeypatch.setattr(door._server, "process_request", counting)
+        (base_spec,) = synthesize_jobs(1, constraints=8)
+        connection = http.client.HTTPConnection(*door.address, timeout=30)
+        try:
+
+            def exchange(method, path, body=None):
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                assert response.status == 200
+                lines = response.read().decode().splitlines()
+                return [json.loads(line) for line in lines]
+
+            exchange("POST", "/submit", json.dumps(base_spec.to_dict()))
+            exchange("GET", "/stream?since=0&timeout=30")
+            step = {"job_id": "step-0", "base_job_id": base_spec.job_id}
+            (ack,) = exchange("POST", "/resolve", json.dumps(step))
+            assert ack["accepted"]
+            (record,) = exchange("GET", "/stream?since=1&timeout=30")
+            assert record["job_id"] == "step-0"
+        finally:
+            connection.close()
+        assert len(accepted) == 1
+
+    def test_connection_close_request_gets_one_reply(self, door):
+        data = raw_exchange(
+            door,
+            b"GET /healthz HTTP/1.1\r\nHost: door\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+        status, _, payload = one_reply(data)
+        assert (status, payload["status"]) == (200, "ok")
+
+    def test_http10_request_gets_one_reply(self, door):
+        status, _, payload = one_reply(
+            raw_exchange(door, b"GET /healthz HTTP/1.0\r\n\r\n")
+        )
+        assert (status, payload["status"]) == (200, "ok")
+
+
+#: The fuzz's one admitted job; its resolves fit ``b`` of length 8 and
+#: ``c`` of length 8 // 3 = 2.
+FUZZ_BASE = {"job_id": "fuzz-base", "constraints": 8}
+FUZZ_STEP = {"job_id": "fuzz-step", "base_job_id": "fuzz-base"}
+
+#: Per field, values the spec checks refuse on both schemas (``None``
+#: only where the field is not optional), numbers no float holds among
+#: them.
+UNFIT = {
+    "job_id": [5, 1.5, None, [], {}, True],
+    "base_job_id": [5, None, ["fuzz-base"], False],
+    "tenant": [7, None, [], {}],
+    "constraints": ["8", 8.0, 1.5, None, [8], True],
+    "group": ["0", 0.5, None, {}],
+    "priority": ["high", 1.5, None, False],
+    "max_attempts": ["3", 2.5, [], True, 0],
+    "variation": ["5", None, [], True, float("nan"), float("inf"), 10**400],
+    "deadline_s": ["1", [], True, float("nan"), -float("inf"), 10**400, 0],
+    "perturb": ["0.1", None, True, float("nan"), 10**400, 1.0],
+}
+#: Values only a job spec refuses: a resolve inherits these fields from
+#: its base, whatever its line carries.
+UNFIT_JOB = {
+    "kind": ["bogus", 1, None],
+    "constraints": [2],
+    "variation": [-1.0, 100.0],
+}
+
+#: What a job line may carry wrong: no ``base_job_id`` or ``perturb``
+#: (a job spec has neither), plus the values only it refuses.
+UNFIT_JOB_LINE = {
+    field: UNFIT.get(field, []) + UNFIT_JOB.get(field, [])
+    for field in (set(UNFIT) - {"base_job_id", "perturb"}) | set(UNFIT_JOB)
+}
+
+
+def unfit_field_lines(valid, refused):
+    """Lines of ``valid`` but for one ``refused`` field value."""
+    return st.sampled_from(sorted(refused)).flatmap(
+        lambda field: st.sampled_from(refused[field]).map(
+            lambda value: json.dumps({**valid, field: value})
+        )
+    )
+
+
+def misshaped_vectors(size):
+    """``b`` / ``c`` values that are not ``size`` finite numbers."""
+    number = st.floats(-1e3, 1e3, allow_nan=False)
+    return st.one_of(
+        st.integers(0, 12).filter(lambda k: k != size).flatmap(
+            lambda k: st.lists(number, min_size=k, max_size=k)
+        ),
+        st.sampled_from(
+            [
+                3.0,
+                "12345678"[:size],
+                dict.fromkeys("12345678"[:size], 0.0),
+                [[1.0]] * size,
+                ["1"] * size,
+                [None] * size,
+                [float("nan")] * size,
+                [10**400] * size,
+            ]
+        ),
+    )
+
+
+@st.composite
+def misshaped_resolve_lines(draw):
+    """A resolve of the fuzz base whose ``b`` or ``c`` does not fit."""
+    label, size = draw(st.sampled_from([("b", 8), ("c", 2)]))
+    return json.dumps({**FUZZ_STEP, label: draw(misshaped_vectors(size))})
+
+
+def one_line(text: str) -> bool:
+    """Whether ``text`` is one non-blank line to the door's parser."""
+    return bool(text.strip()) and text.splitlines() == [text]
+
+
+def not_an_object(text: str) -> bool:
+    try:
+        return not isinstance(json.loads(text), dict)
+    except (ValueError, RecursionError):
+        return True
+
+
+#: Lines either endpoint must reject.
+MALFORMED_LINES = st.one_of(
+    # Malformed JSON: a cut-off spec, stray text, unclosed nesting.
+    st.integers(1, len(json.dumps(FUZZ_BASE)) - 1).map(
+        lambda k: json.dumps(FUZZ_BASE)[:k]
+    ),
+    st.text(st.characters(codec="utf-8"), min_size=1)
+    .filter(one_line)
+    .filter(not_an_object),
+    st.integers(1, 50_000).map(lambda depth: "[" * depth),
+    # JSON values that are not objects.
+    st.one_of(
+        st.integers(), st.floats(), st.text(), st.none(), st.booleans(),
+        st.lists(st.integers(), max_size=3),
+    ).map(json.dumps),
+)
+
+#: Per endpoint, the lines it must reject, each with its own ack.
+REFUSED_LINES = {
+    "/submit": st.one_of(
+        MALFORMED_LINES, unfit_field_lines(FUZZ_BASE, UNFIT_JOB_LINE)
+    ),
+    "/resolve": st.one_of(
+        MALFORMED_LINES,
+        unfit_field_lines(FUZZ_STEP, UNFIT),
+        misshaped_resolve_lines(),
+    ),
+}
+
+BLANK_LINES = st.sampled_from(["", " ", "\t", " \t "])
+
+
+class TestMalformedBodiesFuzz:
+    def test_every_line_acked_and_connection_kept(self, door, monkeypatch):
+        accepted = []
+        serve = door._server.process_request
+
+        def counting(request, client_address):
+            accepted.append(client_address)
+            serve(request, client_address)
+
+        monkeypatch.setattr(door._server, "process_request", counting)
+        connection = http.client.HTTPConnection(*door.address, timeout=30)
+
+        def exchange(method, path, body=None):
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            return response.status, response.read().decode()
+
+        @given(
+            st.sampled_from(sorted(REFUSED_LINES)).flatmap(
+                lambda path: st.tuples(
+                    st.just(path),
+                    st.lists(
+                        st.one_of(REFUSED_LINES[path], BLANK_LINES),
+                        max_size=6,
+                    ),
+                )
+            )
+        )
+        @settings(
+            max_examples=150,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        def every_line_refused(request):
+            path, lines = request
+            body = "\n".join(lines).encode()
+            status, payload = exchange("POST", path, body)
+            assert status == 200
+            acks = [json.loads(line) for line in payload.splitlines()]
+            assert len(acks) == sum(1 for line in lines if line.strip())
+            for ack in acks:
+                assert ack["accepted"] is False
+                assert isinstance(ack["error"], str)
+            status, payload = exchange("GET", "/healthz")
+            assert (status, json.loads(payload)["status"]) == (200, "ok")
+
+        try:
+            status, payload = exchange("POST", "/submit", json.dumps(FUZZ_BASE))
+            assert json.loads(payload)["accepted"]
+            every_line_refused()
+        finally:
+            connection.close()
+        assert len(accepted) == 1
+        # Nothing refused reached the queue or the catalog.
+        assert set(door.service._catalog) == {"fuzz-base"}
 
 
 class TestStream:
@@ -288,7 +556,8 @@ class TestStream:
     def test_bad_query_is_400(self, door):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(url(door, "/stream?since=abc"))
-        assert excinfo.value.code == 400
+        with excinfo.value as error:  # closes the unread reply's socket
+            assert error.code == 400
 
 
 class TestStatusEndpoints:
@@ -370,6 +639,96 @@ class TestLifecycle:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_stop_closes_idle_and_polling_connections(self, monkeypatch):
+        polling_started = threading.Event()
+        stream = frontdoor._Handler._stream
+
+        def signalling(handler, query):
+            polling_started.set()
+            stream(handler, query)
+
+        monkeypatch.setattr(frontdoor._Handler, "_stream", signalling)
+        door = FrontDoor(
+            SolverService(ServiceConfig(pool_size=1, base_seed=7, workers=1))
+        )
+        door.start()
+        idle = http.client.HTTPConnection(*door.address, timeout=30)
+        polling = http.client.HTTPConnection(*door.address, timeout=30)
+        try:
+            idle.request("GET", "/healthz")
+            assert idle.getresponse().read()
+            replies = []
+
+            def long_poll():
+                polling.request("GET", "/stream?since=0&timeout=30")
+                response = polling.getresponse()
+                replies.append((response.status, response.read()))
+
+            poller = threading.Thread(target=long_poll)
+            poller.start()
+            # The long-poll is pending once its request has been read.
+            assert polling_started.wait(5)
+            handlers = list(door._server._connections.values())
+            assert len(handlers) == 2
+            started = time.monotonic()
+            assert door.stop() == []
+            assert time.monotonic() - started < 2.0
+            assert not any(thread.is_alive() for thread in handlers)
+            poller.join(5)
+            assert not poller.is_alive()
+            # The pending long-poll returned the records it had: none.
+            assert replies == [(200, b"")]
+        finally:
+            idle.close()
+            polling.close()
+
+    def test_connection_churn_then_stop_leaves_nothing_open(self):
+        # More clients than cores open, use and close persistent
+        # connections under a short switch interval; stop() must still
+        # leave no connection tracked and no handler thread running.
+        door = FrontDoor(
+            SolverService(ServiceConfig(pool_size=1, base_seed=7, workers=1))
+        )
+        door.start()
+        failures = []
+
+        def client():
+            try:
+                for _ in range(5):
+                    connection = http.client.HTTPConnection(
+                        *door.address, timeout=30
+                    )
+                    try:
+                        for _ in range(3):
+                            connection.request("GET", "/healthz")
+                            response = connection.getresponse()
+                            assert response.status == 200
+                            response.read()
+                    finally:
+                        connection.close()
+            except Exception as exc:  # reported below, on the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            door.stop()
+        assert failures == []
+        assert door._server._connections == {}
+        assert not [
+            thread
+            for thread in threading.enumerate()
+            if thread.name == "repro-frontdoor-conn"
+        ]
 
     def test_port_zero_binds_ephemeral(self, door):
         host, port = door.address

@@ -72,6 +72,29 @@ class TestJobSpec:
         with pytest.raises(TypeError, match="perturb"):
             ResolveSpec(job_id="r", base_job_id="b", perturb="0.1")
 
+    @pytest.mark.parametrize("field", ["variation", "deadline_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+    def test_rejects_numbers_no_float_holds(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            JobSpec(job_id="j", **{field: value})
+        with pytest.raises(ValueError, match=field):
+            ResolveSpec(job_id="j", base_job_id="b", **{field: value})
+        with pytest.raises(ValueError, match="non-finite"):
+            ResolveSpec(job_id="j", base_job_id="b", b=[1.0, value])
+
+    @pytest.mark.parametrize(
+        "vector", ["12345678", {"1": 0.0}, [1.0, "2"], [[1.0]], [True], 3.0]
+    )
+    def test_rejects_vectors_that_are_not_lists_of_numbers(self, vector):
+        with pytest.raises(TypeError, match="b must be a list of numbers"):
+            ResolveSpec(job_id="r", base_job_id="b", b=vector)
+
+    @pytest.mark.parametrize("variation", [-1.0, 100.0, 150])
+    def test_rejects_variation_outside_the_device_range(self, variation):
+        # The dispatcher's device model takes percents in [0, 100).
+        with pytest.raises(ValueError, match="variation"):
+            JobSpec(job_id="j", variation=variation)
+
 
 class TestSeeds:
     def test_attempt_seeds_differ_per_attempt(self):
